@@ -1,15 +1,14 @@
-//! Shared helpers for the Criterion benches.
+//! Shared helpers for the Criterion benches and the bench bins.
 //!
-//! Two measurement styles coexist here:
-//!
-//! * **wall-clock** benches run the full stack (simulation threads and
-//!   all) with the *instant* cost model, so Criterion measures the real
-//!   CPU cost of the library paths on the host — the modern analogue of
-//!   the paper's comparison;
-//! * **virtual-time** benches use `iter_custom` to report *simulated
-//!   platform seconds* from the calibrated cost models, regenerating the
-//!   paper's tables and the ablations of its design choices
-//!   deterministically.
+//! The benches in this crate measure **virtual time**: the Criterion
+//! benches under `benches/` use `iter_custom` to report *simulated
+//! platform seconds* from the calibrated cost models, regenerating the
+//! paper's tables and the ablations of its design choices
+//! deterministically, and the bins under `src/bin` write the
+//! `BENCH_*.json` files from the same clocks. The one host-timed bin is
+//! `verify_throughput` (dsverify events per second). The host time of
+//! the library's own I/O path is measured by the separate `perfbench`
+//! crate (`python3 perfbench/run.py`).
 
 #![forbid(unsafe_code)]
 

@@ -62,11 +62,12 @@ struct InRecord {
     extracts_done: u32,
 }
 
-/// A record fetched ahead of consumption: metadata is fully decoded, the
-/// data bytes are materialized, and the collective read's service cost is
-/// elapsing in background virtual time. The consuming `read` retires the
-/// handle, routes the elements, and verifies the seal.
-struct Prefetched {
+/// A record fetched but not yet consumed: metadata is fully decoded and
+/// the data bytes are materialized. For a prefetch the collective read's
+/// service cost is still elapsing in background virtual time (`handle`);
+/// the consuming `read` retires it, routes the elements, and verifies
+/// the seal.
+struct Fetched {
     header: RecordHeader,
     seal: Option<RecordSeal>,
     sizes: Vec<u64>,
@@ -77,7 +78,8 @@ struct Prefetched {
     hi: usize,
     raw: Vec<u8>,
     digests: Vec<ChunkSum>,
-    handle: IoHandle,
+    /// The in-flight data read of a prefetch; `None` for a blocking read.
+    handle: Option<IoHandle>,
     sorted: bool,
     /// The redistribution schedule (planned sorted reads only), with the
     /// target `(rank, slot)` of every file-order entry.
@@ -95,7 +97,7 @@ pub struct IStream<'a> {
     sealed: bool,
     current: Option<InRecord>,
     /// Read-ahead record in flight, if any.
-    prefetched: Option<Prefetched>,
+    prefetched: Option<Fetched>,
     /// Routing strategy for sorted reads.
     strategy: ReadStrategy,
 }
@@ -293,11 +295,13 @@ impl<'a> IStream<'a> {
                 });
             }
         }
-        if let Some(p) = self.prefetched.take() {
-            if p.sorted != sorted {
+        let fetched = match self.prefetched.take() {
+            Some(mut p) if p.sorted != sorted => {
                 // Retire the in-flight cost before surfacing the misuse
                 // so the rank's async queue stays consistent.
-                let _ = p.handle.wait(self.ctx);
+                if let Some(h) = p.handle.take() {
+                    let _ = h.wait(self.ctx);
+                }
                 self.ctx.emit_with(|| EventKind::PhaseEnd {
                     phase: StreamPhase::ReadAhead,
                 });
@@ -306,13 +310,18 @@ impl<'a> IStream<'a> {
                     "the prefetched record was fetched with the other read mode",
                 ));
             }
-            return self.finish_prefetched(p);
-        }
+            Some(p) => p,
+            None => self.fetch(sorted, false)?,
+        };
+        self.consume(fetched)
+    }
 
-        // --- parallel read 1: record header + size table -------------------
+    /// The step a read and a prefetch share: parallel read 1 (record
+    /// header + size table), the routing plan, and parallel read 2 (the
+    /// data) — blocking, or with `defer` left in flight on the returned
+    /// record's handle. Does not move the cursor.
+    fn fetch(&mut self, sorted: bool, defer: bool) -> Result<Fetched, StreamError> {
         let (header, seal, sizes, file_map, data_base) = self.fetch_metadata()?;
-
-        // --- parallel read 2: the data, then (for sorted reads) routing ----
         // Under the planned strategy the planner picks the conforming
         // spans (so that cross-rank traffic is minimal); otherwise the
         // balanced split of the naive/unsorted paths applies.
@@ -327,18 +336,28 @@ impl<'a> IStream<'a> {
         };
         let (off, len) = Self::span(&file_map, data_base, lo, hi);
         let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-        let (raw, data_digests) = self.fh.read_ordered_summed(self.ctx, off, len)?;
-        drop(data_span);
-        let rec = match (&plan, sorted) {
-            (Some((p, places)), _) => self.route_planned(&header, &file_map, p, places, &raw)?,
-            (None, true) => self.route_sorted(&header, &file_map, lo, hi, &raw)?,
-            (None, false) => self.deal_unsorted(&header, &file_map, lo, hi, &raw)?,
+        let (raw, digests, handle) = if defer {
+            let (raw, digests, h) = self.fh.read_ordered_begin_summed(self.ctx, off, len)?;
+            (raw, digests, Some(h))
+        } else {
+            let (raw, digests) = self.fh.read_ordered_summed(self.ctx, off, len)?;
+            (raw, digests, None)
         };
-
-        self.verify_seal(&header, seal.as_ref(), &sizes, &data_digests)?;
-        self.cursor = data_base + header.data_len + self.seal_len();
-        self.current = Some(rec);
-        Ok(())
+        drop(data_span);
+        Ok(Fetched {
+            header,
+            seal,
+            sizes,
+            file_map,
+            data_base,
+            lo,
+            hi,
+            raw,
+            digests,
+            handle,
+            sorted,
+            plan,
+        })
     }
 
     /// The read-ahead half of the asynchronous pipeline: fetch the next
@@ -374,44 +393,19 @@ impl<'a> IStream<'a> {
         self.ctx.emit_with(|| EventKind::PhaseBegin {
             phase: StreamPhase::ReadAhead,
         });
-        let (header, seal, sizes, file_map, data_base) = match self.fetch_metadata() {
-            Ok(m) => m,
+        match self.fetch(sorted, true) {
+            Ok(f) => {
+                self.prefetched = Some(f);
+                Ok(true)
+            }
             Err(StreamError::EndOfStream) => {
                 self.ctx.emit_with(|| EventKind::PhaseEnd {
                     phase: StreamPhase::ReadAhead,
                 });
-                return Ok(false);
+                Ok(false)
             }
-            Err(e) => return Err(e),
-        };
-        let plan = if sorted && self.strategy == ReadStrategy::Planned {
-            Some(self.build_plan(&header, &file_map)?)
-        } else {
-            None
-        };
-        let (lo, hi) = match &plan {
-            Some((p, _)) => p.span(self.ctx.rank()),
-            None => self.element_range(file_map.len(), sorted),
-        };
-        let (off, len) = Self::span(&file_map, data_base, lo, hi);
-        let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-        let (raw, digests, handle) = self.fh.read_ordered_begin_summed(self.ctx, off, len)?;
-        drop(data_span);
-        self.prefetched = Some(Prefetched {
-            header,
-            seal,
-            sizes,
-            file_map,
-            data_base,
-            lo,
-            hi,
-            raw,
-            digests,
-            handle,
-            sorted,
-            plan,
-        });
-        Ok(true)
+            Err(e) => Err(e),
+        }
     }
 
     /// Whether a prefetched record is in flight.
@@ -428,11 +422,14 @@ impl<'a> IStream<'a> {
             .unwrap_or(0)
     }
 
-    /// Consume a prefetched record: retire the collective read's handle
-    /// (stalling only for cost not already hidden behind compute), then
-    /// route/deal and verify exactly as the synchronous path does.
-    fn finish_prefetched(&mut self, p: Prefetched) -> Result<(), StreamError> {
-        p.handle.wait(self.ctx)?;
+    /// Consume a fetched record: retire a prefetch's collective read
+    /// handle (stalling only for cost not already hidden behind
+    /// compute), then route/deal and verify the seal.
+    fn consume(&mut self, p: Fetched) -> Result<(), StreamError> {
+        let prefetched = p.handle.is_some();
+        if let Some(h) = p.handle {
+            h.wait(self.ctx)?;
+        }
         let rec = match (&p.plan, p.sorted) {
             (Some((plan, places)), _) => {
                 self.route_planned(&p.header, &p.file_map, plan, places, &p.raw)?
@@ -443,9 +440,11 @@ impl<'a> IStream<'a> {
         self.verify_seal(&p.header, p.seal.as_ref(), &p.sizes, &p.digests)?;
         self.cursor = p.data_base + p.header.data_len + self.seal_len();
         self.current = Some(rec);
-        self.ctx.emit_with(|| EventKind::PhaseEnd {
-            phase: StreamPhase::ReadAhead,
-        });
+        if prefetched {
+            self.ctx.emit_with(|| EventKind::PhaseEnd {
+                phase: StreamPhase::ReadAhead,
+            });
+        }
         Ok(())
     }
 
@@ -935,7 +934,9 @@ impl<'a> IStream<'a> {
             self.ctx.emit_with(|| EventKind::PhaseEnd {
                 phase: StreamPhase::ReadAhead,
             });
-            p.handle.wait(self.ctx)?;
+            if let Some(h) = p.handle {
+                h.wait(self.ctx)?;
+            }
         }
         if let Some(rec) = &self.current {
             if rec.extracts_done < rec.header.n_inserts {

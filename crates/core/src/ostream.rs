@@ -96,6 +96,11 @@ impl PendingWrite {
     }
 }
 
+/// Fold `digests` onto `head` in order.
+fn fold(head: ChunkSum, digests: &[ChunkSum]) -> ChunkSum {
+    digests.iter().fold(head, |acc, d| acc.then(*d))
+}
+
 /// An output d/stream bound to one file and one collection layout.
 pub struct OStream<'a> {
     ctx: &'a NodeCtx,
@@ -116,6 +121,9 @@ pub struct OStream<'a> {
     /// state (an open append-stream segment; cleared by
     /// [`OStream::seal_segment`]).
     active_append: bool,
+    /// Sticky: some record this stream wrote, blocking or
+    /// split-collective, had a rank's transfer cut by a power cut.
+    peer_crashed: bool,
 }
 
 impl<'a> OStream<'a> {
@@ -177,6 +185,7 @@ impl<'a> OStream<'a> {
             version_checked: false,
             in_flight: 0,
             active_append: false,
+            peer_crashed: false,
         })
     }
 
@@ -248,7 +257,7 @@ impl<'a> OStream<'a> {
             ));
         }
         self.ctx.barrier()?;
-        if self.fh.take_peer_crashed() {
+        if self.peer_crashed {
             // A crashed peer may have left a torn record: keep the
             // active-append flag so nothing downstream trusts the file.
             return Ok(());
@@ -441,13 +450,15 @@ impl<'a> OStream<'a> {
     }
 
     /// Flush the current interleave group to the file as one write record
-    /// (the d/stream `write` primitive). Collective.
+    /// (the d/stream `write` primitive). A power-cut fault injected on any
+    /// rank's transfer leaves the record unsealed and returns
+    /// `RankCrashed` on the crashed rank. Collective.
     pub fn write(&mut self) -> Result<(), StreamError> {
         let (mode, header, file_prefix, local_sizes, data) = self.stage_record()?;
         if let Some(scratch) = self.scratch.clone() {
             self.write_smp(&scratch, &header, file_prefix, &local_sizes, &data)?;
         } else {
-            self.write_per_node(mode, &header, file_prefix, &local_sizes, &data)?;
+            self.write_per_node(mode, &header, file_prefix, &local_sizes, &data, false)?;
         }
         self.finish_record();
         Ok(())
@@ -503,7 +514,7 @@ impl<'a> OStream<'a> {
         if let Some(scratch) = self.scratch.clone() {
             self.write_smp(&scratch, &header, file_prefix, &local_sizes, data)?;
         } else {
-            self.write_per_node(mode, &header, file_prefix, &local_sizes, data)?;
+            self.write_per_node(mode, &header, file_prefix, &local_sizes, data, false)?;
         }
         self.records_written += 1;
         Ok(())
@@ -538,74 +549,9 @@ impl<'a> OStream<'a> {
         self.ctx.emit_with(|| EventKind::PhaseBegin {
             phase: StreamPhase::WriteBehind,
         });
-        let prefix_len = file_prefix.len();
-        let pending = match mode {
-            MetaMode::Gathered => {
-                let meta_span = crate::phase::span(self.ctx, StreamPhase::Metadata);
-                let gathered = self.ctx.gather(0, encode_sizes(&local_sizes))?;
-                let (block, meta_sum) = if let Some(tables) = gathered {
-                    let mut b = file_prefix;
-                    b.extend_from_slice(&header.encode());
-                    for t in &tables {
-                        b.extend_from_slice(t);
-                    }
-                    let meta_sum = ChunkSum::of(&b[prefix_len..]);
-                    b.extend_from_slice(&data);
-                    (b, meta_sum)
-                } else {
-                    (data.clone(), ChunkSum::EMPTY)
-                };
-                drop(meta_span);
-                let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, digests, h) = self.fh.write_ordered_begin_summed(self.ctx, &block)?;
-                drop(data_span);
-                let seal = if self.ctx.is_root() && !h.peer_crashed() {
-                    let mut digest = meta_sum.then(ChunkSum::of(&data));
-                    for d in &digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    Some(self.seal_record_begin(&header, digest)?)
-                } else {
-                    None
-                };
-                PendingWrite {
-                    meta: None,
-                    data: h,
-                    seal,
-                }
-            }
-            MetaMode::Parallel => {
-                let mut meta = file_prefix;
-                if self.ctx.is_root() {
-                    meta.extend_from_slice(&header.encode());
-                }
-                meta.extend_from_slice(&encode_sizes(&local_sizes));
-                let st = crate::phase::span(self.ctx, StreamPhase::SizeTable);
-                let (_, meta_digests, mh) = self.fh.write_ordered_begin_summed(self.ctx, &meta)?;
-                drop(st);
-                let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, data_digests, dh) = self.fh.write_ordered_begin_summed(self.ctx, &data)?;
-                drop(data_span);
-                let crashed = mh.peer_crashed() || dh.peer_crashed();
-                let seal = if self.ctx.is_root() && !crashed {
-                    let mut digest = ChunkSum::of(&meta[prefix_len..]);
-                    for d in &meta_digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    for d in &data_digests {
-                        digest = digest.then(*d);
-                    }
-                    Some(self.seal_record_begin(&header, digest)?)
-                } else {
-                    None
-                };
-                PendingWrite {
-                    meta: Some(mh),
-                    data: dh,
-                    seal,
-                }
-            }
-        };
+        let pending = self
+            .write_per_node(mode, &header, file_prefix, &local_sizes, &data, true)?
+            .expect("deferred flush returns a pending write");
         self.finish_record();
         self.in_flight += 1;
         Ok(pending)
@@ -688,29 +634,17 @@ impl<'a> OStream<'a> {
     /// Append the commit seal for the record just written (root only): the
     /// record becomes durable — a crash before this point leaves a
     /// detectable torn tail, never a silently short record.
-    fn seal_record(&self, header: &RecordHeader, digest: ChunkSum) -> Result<(), StreamError> {
-        debug_assert!(self.ctx.is_root());
-        let record_len = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
-        let seal = RecordSeal {
-            record_len,
-            checksum: digest.hash(),
-        }
-        .encode();
-        let base = self.fh.len();
-        self.fh.write_at(self.ctx, base, &seal)?;
-        Ok(())
-    }
-
-    /// Nonblocking [`OStream::seal_record`]: the seal bytes land now —
-    /// so the next record's append base is already correct — with the
-    /// service cost deferred behind the data collective's on this rank's
-    /// serial async queue. The seal therefore *completes* strictly after
-    /// the data it certifies.
-    fn seal_record_begin(
+    ///
+    /// With `defer` the seal bytes land now — so the next record's append
+    /// base is already correct — with the service cost deferred behind the
+    /// data collective's on this rank's serial async queue. The seal
+    /// therefore *completes* strictly after the data it certifies.
+    fn seal_record(
         &self,
         header: &RecordHeader,
         digest: ChunkSum,
-    ) -> Result<IoHandle, StreamError> {
+        defer: bool,
+    ) -> Result<Option<IoHandle>, StreamError> {
         debug_assert!(self.ctx.is_root());
         let record_len = RecordHeader::LEN as u64 + header.n_elements * 8 + header.data_len;
         let seal = RecordSeal {
@@ -719,11 +653,39 @@ impl<'a> OStream<'a> {
         }
         .encode();
         let base = self.fh.len();
-        Ok(self.fh.write_at_begin(self.ctx, base, &seal)?)
+        if defer {
+            return Ok(Some(self.fh.write_at_begin(self.ctx, base, &seal)?));
+        }
+        self.fh.write_at(self.ctx, base, &seal)?;
+        Ok(None)
+    }
+
+    /// One ordered collective write of the record, blocking or (with
+    /// `defer`) split-collective. Returns every rank's block digest, the
+    /// peer-crash flag, and the handle in deferred mode.
+    fn put_ordered(
+        &self,
+        block: &[u8],
+        defer: bool,
+    ) -> Result<(Vec<ChunkSum>, bool, Option<IoHandle>), StreamError> {
+        if defer {
+            let (_, digests, h) = self.fh.write_ordered_begin_summed(self.ctx, block)?;
+            return Ok((digests, h.peer_crashed(), Some(h)));
+        }
+        let (_, digests, peer_crashed) = self.fh.write_ordered_summed(self.ctx, block)?;
+        Ok((digests, peer_crashed, None))
     }
 
     /// Per-node-buffer emission (distributed-memory machines, and the
-    /// default everywhere): collective parallel operations.
+    /// default everywhere): collective parallel operations, then the
+    /// root's commit seal. The one body of both [`OStream::write`] and
+    /// [`OStream::write_begin`]: with `defer` every operation's service
+    /// cost is left in flight and the handles come back as a
+    /// [`PendingWrite`]; without it they are paid on the spot.
+    ///
+    /// A power cut on any rank's transfer completes the collective on
+    /// the survivors (its closing crash-flag all-reduce) but leaves the
+    /// record unsealed, so recovery truncates it away.
     fn write_per_node(
         &mut self,
         mode: MetaMode,
@@ -731,13 +693,15 @@ impl<'a> OStream<'a> {
         file_prefix: Vec<u8>,
         local_sizes: &[u64],
         data: &[u8],
-    ) -> Result<(), StreamError> {
+        defer: bool,
+    ) -> Result<Option<PendingWrite>, StreamError> {
         let prefix_len = file_prefix.len();
-        match mode {
+        let root = self.ctx.is_root();
+        let (meta, flush, digest, crashed) = match mode {
             MetaMode::Gathered => {
                 // Size info travels to node 0 and is written at the head
                 // of its per-node buffer: a single parallel operation.
-                let meta = crate::phase::span(self.ctx, StreamPhase::Metadata);
+                let meta_span = crate::phase::span(self.ctx, StreamPhase::Metadata);
                 let gathered = self.ctx.gather(0, encode_sizes(local_sizes))?;
                 let (block, meta_sum) = if let Some(tables) = gathered {
                     let mut b = file_prefix;
@@ -753,61 +717,46 @@ impl<'a> OStream<'a> {
                 } else {
                     (data.to_vec(), ChunkSum::EMPTY)
                 };
-                drop(meta);
+                drop(meta_span);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, digests) = self.fh.write_ordered_summed(self.ctx, &block)?;
+                let (digests, crashed, h) = self.put_ordered(&block, defer)?;
                 drop(data_span);
-                // Under collective buffering a peer's power-cut completes
-                // the collective on the survivors (the aggregation layer's
-                // closing crash-flag all-reduce); the record must then stay
-                // unsealed so recovery truncates it away.
-                if self.fh.take_peer_crashed() {
-                    return Ok(());
-                }
-                if self.ctx.is_root() {
-                    // Record digest in file order: metadata, then rank 0's
-                    // data (hashed locally — its collective block includes
-                    // the metadata), then the other ranks' blocks.
-                    let mut digest = meta_sum.then(ChunkSum::of(data));
-                    for d in &digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    self.seal_record(header, digest)?;
-                }
+                // Record digest in file order: metadata, then rank 0's
+                // data (hashed locally — its collective block includes
+                // the metadata), then the other ranks' blocks.
+                let digest = (root && !crashed)
+                    .then(|| fold(meta_sum.then(ChunkSum::of(data)), &digests[1..]));
+                (None, h, digest, crashed)
             }
             MetaMode::Parallel => {
                 // Two parallel operations: metadata (record header from
                 // the root, size-table slices from all nodes — one
                 // node-order write yields header-then-sizes), then data.
                 let mut meta = file_prefix;
-                if self.ctx.is_root() {
+                if root {
                     meta.extend_from_slice(&header.encode());
                 }
                 meta.extend_from_slice(&encode_sizes(local_sizes));
                 let st = crate::phase::span(self.ctx, StreamPhase::SizeTable);
-                let (_, meta_digests) = self.fh.write_ordered_summed(self.ctx, &meta)?;
+                let (meta_digests, meta_crashed, mh) = self.put_ordered(&meta, defer)?;
                 drop(st);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (_, data_digests) = self.fh.write_ordered_summed(self.ctx, data)?;
+                let (data_digests, data_crashed, dh) = self.put_ordered(data, defer)?;
                 drop(data_span);
-                // Sticky across both collectives of this record; see the
-                // gathered arm.
-                if self.fh.take_peer_crashed() {
-                    return Ok(());
-                }
-                if self.ctx.is_root() {
-                    let mut digest = ChunkSum::of(&meta[prefix_len..]);
-                    for d in &meta_digests[1..] {
-                        digest = digest.then(*d);
-                    }
-                    for d in &data_digests {
-                        digest = digest.then(*d);
-                    }
-                    self.seal_record(header, digest)?;
-                }
+                let crashed = meta_crashed || data_crashed;
+                let digest = (root && !crashed).then(|| {
+                    let head = fold(ChunkSum::of(&meta[prefix_len..]), &meta_digests[1..]);
+                    fold(head, &data_digests)
+                });
+                (mh, dh, digest, crashed)
             }
-        }
-        Ok(())
+        };
+        self.peer_crashed |= crashed;
+        let seal = match digest {
+            Some(d) => self.seal_record(header, d, defer)?,
+            None => None,
+        };
+        Ok(flush.map(|data| PendingWrite { meta, data, seal }))
     }
 
     /// Single-buffer emission (shared-memory machines): every rank packs
@@ -954,6 +903,50 @@ mod tests {
             pfs.file_size("f").unwrap(),
             FileHeader::LEN as u64 + 2 * record
         );
+    }
+
+    /// A power cut on one rank's blocking direct write: that rank gets
+    /// `RankCrashed`, the survivors complete, and the record is left
+    /// unsealed — the file ends in a torn tail recovery truncates away.
+    #[test]
+    fn direct_write_power_cut_leaves_the_record_unsealed() {
+        use dstreams_machine::{FaultPlan, MachineError};
+        let pfs = Pfs::in_memory(3);
+        let p = pfs.clone();
+        let cfg = MachineConfig::functional(3).with_faults(FaultPlan::seeded(7).crash_at(1, 0));
+        let outcomes = Machine::run(cfg, move |ctx| {
+            let layout = Layout::dense(6, 3, DistKind::Block).unwrap();
+            let c = Collection::new(ctx, layout.clone(), |g| g as u64).unwrap();
+            let mut s = OStream::create(ctx, &p, &layout, "f").unwrap();
+            s.insert_collection(&c).unwrap();
+            s.write()
+        })
+        .unwrap();
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Err(StreamError::Pfs(dstreams_pfs::PfsError::Machine(
+                    MachineError::RankCrashed { rank: 1 },
+                ))) if rank == 1 => {}
+                Ok(()) if rank != 1 => {}
+                other => panic!("rank {rank}: unexpected outcome {other:?}"),
+            }
+        }
+        let p2 = pfs.clone();
+        let image = Machine::run(MachineConfig::functional(1), move |ctx| {
+            let fh = p2.open(false, "f", OpenMode::Read).unwrap();
+            let mut buf = vec![0u8; fh.len() as usize];
+            fh.read_at(ctx, 0, &mut buf).unwrap();
+            buf
+        })
+        .unwrap()
+        .remove(0);
+        let report = crate::recovery_scan(&image).unwrap();
+        assert_eq!(
+            report.sealed_records, 0,
+            "the torn record must not be sealed"
+        );
+        assert_eq!(report.sealed_bytes, FileHeader::LEN as u64);
+        assert!(report.torn);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Two-phase collective buffering (aggregator I/O).
 //!
 //! When a [`dstreams_machine::CollectiveConfig`] is present on the
-//! machine, the ordered collectives in [`crate::FileHandle`] route
-//! through this module instead of issuing one physical transfer per
-//! rank. A deterministic subset of ranks — the *aggregators* — each
-//! owns a contiguous *file domain* of the region the collective
-//! touches. Non-aggregators ship their blocks (or receive their spans)
-//! over the ordinary message layer in a *shuttle* phase, and each
-//! aggregator then issues a single coalesced, optionally
-//! stripe-aligned, `write_at`/`read_at` against storage. Unaligned
+//! machine, the ordered collectives in [`crate::FileHandle`] — blocking
+//! and split-collective alike, one body per operation — route through
+//! this module instead of issuing one physical transfer per rank. A
+//! deterministic subset of ranks — the *aggregators* — each owns a
+//! contiguous *file domain* of the region the collective touches.
+//! Non-aggregators ship their blocks (or receive their spans) over the
+//! ordinary message layer in a *shuttle* phase, and each aggregator
+//! then issues a single coalesced, optionally stripe-aligned,
+//! `write_at`/`read_at` against storage. Unaligned
 //! region heads are handled by *data sieving*: the aggregator reads the
 //! stripe head back and rewrites the whole span as one aligned
 //! operation.
@@ -31,8 +32,8 @@
 //!   crashed rank participating through the coordination so peers and
 //!   aggregators are not stranded mid-shuttle; the closing crash-flag
 //!   all-reduce then tells every survivor the record must not be sealed
-//!   (surfaced through [`FileHandle::take_peer_crashed`] or
-//!   [`crate::IoHandle::peer_crashed`]), crashed aggregators are
+//!   (the flag [`FileHandle::write_ordered_summed`] returns and
+//!   [`crate::IoHandle::peer_crashed`] reports), crashed aggregators are
 //!   excluded from domain ownership, and the rank is marked dead at the
 //!   end. A surviving aggregator re-covers the dead rank's file domain
 //!   on the next collective, because domains are recomputed from the
@@ -40,21 +41,16 @@
 
 use std::borrow::Cow;
 
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
 use dstreams_machine::{
     CollectiveConfig, FaultDecision, MachineError, NodeCtx, VTime, AGG_SHUTTLE_RETRY_BASE,
     AGG_SHUTTLE_TAG,
 };
-use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, PfsOp};
+use dstreams_trace::{EventKind, FaultKind, PfsOp};
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
-use crate::file::{decode_u64, FileHandle};
-use crate::nonblocking::IoHandle;
-
-/// What an aggregated ordered read hands back: this rank's bytes, their
-/// per-chunk digests, and the deferred-cost handle in begin mode.
-type ReadOutcome = (Vec<u8>, Vec<ChunkSum>, Option<IoHandle>);
+use crate::file::{decode_sum, decode_u64, AppendPlan, FileHandle, ReadOutcome, WriteOutcome};
+use crate::nonblocking::Service;
 
 /// The configured aggregator ranks minus the ranks whose transfer this
 /// operation power-cuts. Every rank computes the same set from the
@@ -181,59 +177,14 @@ fn physical_read_span(d0: u64, d1: u64, stripe: u64, align: bool, file_len: u64)
 }
 
 impl FileHandle {
-    /// Aggregated [`FileHandle::write_ordered_summed`].
-    pub(crate) fn agg_write_ordered_summed(
+    /// Aggregated ordered write, in either service mode.
+    pub(crate) fn agg_write_ordered(
         &self,
         ctx: &NodeCtx,
         cc: CollectiveConfig,
         block: &[u8],
-    ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
-        let (off, digests, _handle) = self.agg_write_ordered(ctx, cc, block, false)?;
-        Ok((off, digests))
-    }
-
-    /// Aggregated [`FileHandle::write_ordered_begin_summed`].
-    pub(crate) fn agg_write_ordered_begin_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        block: &[u8],
-    ) -> Result<(u64, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (off, digests, handle) = self.agg_write_ordered(ctx, cc, block, true)?;
-        Ok((off, digests, handle.expect("begin mode returns a handle")))
-    }
-
-    /// Aggregated [`FileHandle::read_ordered_summed`].
-    pub(crate) fn agg_read_ordered_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
-        let (buf, digests, _handle) = self.agg_read_ordered(ctx, cc, offset, len, false)?;
-        Ok((buf, digests))
-    }
-
-    /// Aggregated [`FileHandle::read_ordered_begin_summed`].
-    pub(crate) fn agg_read_ordered_begin_summed(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Vec<ChunkSum>, IoHandle), PfsError> {
-        let (buf, digests, handle) = self.agg_read_ordered(ctx, cc, offset, len, true)?;
-        Ok((buf, digests, handle.expect("begin mode returns a handle")))
-    }
-
-    fn agg_write_ordered(
-        &self,
-        ctx: &NodeCtx,
-        cc: CollectiveConfig,
-        block: &[u8],
-        begin: bool,
-    ) -> Result<(u64, Vec<ChunkSum>, Option<IoHandle>), PfsError> {
+        service: Service,
+    ) -> Result<WriteOutcome, PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
         let fate = self.collective_fate(ctx, op, Some(block.len()))?;
@@ -265,72 +216,16 @@ impl FileHandle {
         };
 
         // Size/digest/crash-flag exchange; rank 0 supplies the append
-        // base. The digest is of the full intended block even for a
-        // torn transfer (torn writes are silent; seal verification
-        // catches them later) — identical to the direct path.
-        let my_sum = ChunkSum::of(block);
-        let mut contrib = Vec::with_capacity(25);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        contrib.push(my_crash as u8);
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 25 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "aggregated write: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan).ok_or_else(|| {
-            PfsError::CollectiveMismatch("aggregated write: malformed plan".into())
-        })?;
+        // base.
+        let AppendPlan {
+            offsets,
+            sizes,
+            digests,
+            crashed,
+            base,
+            total,
+        } = self.append_plan(ctx, block, Some(my_crash), "aggregated write")?;
         let nprocs = ctx.nprocs();
-        if parts.len() != nprocs + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "aggregated write: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "aggregated write plan base")?;
-        let mut sizes = Vec::with_capacity(nprocs);
-        let mut digests = Vec::with_capacity(nprocs);
-        let mut crashed = Vec::with_capacity(nprocs);
-        for frame in &parts[1..] {
-            if frame.len() != 25 {
-                return Err(PfsError::CollectiveMismatch(
-                    "aggregated write: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "aggregated write plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "aggregated write plan digest hash")?,
-                decode_u64(&frame[16..24], "aggregated write plan digest rpow")?,
-            ));
-            crashed.push(frame[24] != 0);
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "aggregated write: my block size desynchronized".into(),
-            ));
-        }
-        let mut offsets = Vec::with_capacity(nprocs);
-        let mut acc = base;
-        for &s in &sizes {
-            offsets.push(acc);
-            acc += s;
-        }
-        let total = acc - base;
         let me = ctx.rank();
         let my_off = offsets[me];
 
@@ -537,87 +432,36 @@ impl FileHandle {
         };
         if let Some(k) = my_domain {
             let (p0, plen) = spans[k];
-            ctx.emit_with(|| EventKind::PfsCollective {
-                op: PfsOp::Write,
-                file: self.file.name().to_string(),
-                offset: p0,
-                bytes: plen,
-                total_bytes: total,
-                share_bytes: total / nprocs as u64,
-                stripes: self.pfs.model.stripes_touched(p0, plen),
-                regime: if self.pfs.model.collective_knee(phys_max) {
-                    CollectiveRegime::CacheKnee
-                } else {
-                    CollectiveRegime::Streaming
-                },
-                cost_ns: cost.as_nanos(),
-            });
-            self.account_collective(ctx, total);
+            self.record_collective(ctx, PfsOp::Write, p0, plen, total, phys_max, cost);
         }
-        let async_op = if begin {
-            Some(ctx.async_submit(if my_crash { VTime::ZERO } else { cost }))
-        } else {
-            if !my_crash {
-                ctx.advance(cost);
-            }
-            None
-        };
+        let charged = service.charge(ctx, if my_crash { VTime::ZERO } else { cost });
 
-        // Closing flag all-reduce: replaces the direct path's bare
-        // barrier and tells every survivor whether the record this
-        // collective wrote may be sealed. Bit 0: some rank power-cut
-        // its transfer. Bit 1: the shuttle lost data — a slice stayed
-        // unreachable even after failover. (All ranks compute the same
-        // `data_lost` from the exchanged suspicions, so the bit is
-        // redundant but cheap insurance against divergence.)
+        // Closing flag all-reduce, as on the direct path: tells every
+        // survivor whether the record this collective wrote may be
+        // sealed. Bit 0: some rank power-cut its transfer. Bit 1: the
+        // shuttle lost data — a slice stayed unreachable even after
+        // failover. (All ranks compute the same `data_lost` from the
+        // exchanged suspicions, so the bit is redundant but cheap
+        // insurance against divergence.)
         let flags = ctx.all_reduce(my_crash as u64 | ((data_lost as u64) << 1), |a, b| a | b)?;
-        if begin {
-            let deferred = if my_crash {
-                ctx.fault_mark_dead();
-                Some(MachineError::RankCrashed { rank: me }.into())
-            } else {
-                None
-            };
-            let handle = IoHandle::new(
-                async_op.expect("begin mode submitted"),
-                deferred,
-                flags != 0,
-            );
-            Ok((my_off, digests, Some(handle)))
-        } else {
-            if flags != 0 && !my_crash {
-                self.agg_peer_crash.set(true);
-            }
-            if my_crash {
-                ctx.fault_mark_dead();
-                return Err(MachineError::RankCrashed { rank: me }.into());
-            }
-            Ok((my_off, digests, None))
-        }
+        let handle = service.settle(ctx, charged, my_crash, flags != 0)?;
+        Ok((my_off, digests, flags != 0, handle))
     }
 
-    fn agg_read_ordered(
+    /// Aggregated ordered read, in either service mode.
+    pub(crate) fn agg_read_ordered(
         &self,
         ctx: &NodeCtx,
         cc: CollectiveConfig,
         offset: u64,
         len: usize,
-        begin: bool,
+        service: Service,
     ) -> Result<ReadOutcome, PfsError> {
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, None)?;
-        let my_crash = matches!(fate, FaultDecision::Crash { .. });
-        if my_crash {
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-            if !begin {
-                // Power cut on entry: identical to the direct blocking
-                // read — peers block in the opening barrier and observe
-                // PeerGone when the thread unwinds.
-                ctx.fault_mark_dead();
-                return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
-            }
-        }
+        // Crash on entry: the blocking read dies exactly like the direct
+        // one; a deferred read stays in and dies at its handle.
+        let my_crash = self.read_fate(ctx, op, service)?;
         ctx.barrier()?;
 
         // Span/crash-flag exchange.
@@ -766,10 +610,7 @@ impl FileHandle {
                     "aggregated read: malformed digest frame".into(),
                 ));
             }
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[..8], "aggregated read digest hash")?,
-                decode_u64(&frame[8..16], "aggregated read digest rpow")?,
-            ));
+            digests.push(decode_sum(frame, "aggregated read digest")?);
         }
         if my_fail {
             return Err(PfsError::OutOfBounds {
@@ -793,36 +634,11 @@ impl FileHandle {
         };
         if let Some(k) = my_domain {
             let (p0, plen) = spans[k];
-            ctx.emit_with(|| EventKind::PfsCollective {
-                op: PfsOp::Read,
-                file: self.file.name().to_string(),
-                offset: p0,
-                bytes: plen,
-                total_bytes: total,
-                share_bytes: total / nprocs as u64,
-                stripes: self.pfs.model.stripes_touched(p0, plen),
-                regime: if self.pfs.model.collective_knee(phys_max) {
-                    CollectiveRegime::CacheKnee
-                } else {
-                    CollectiveRegime::Streaming
-                },
-                cost_ns: cost.as_nanos(),
-            });
-            self.account_collective(ctx, total);
+            self.record_collective(ctx, PfsOp::Read, p0, plen, total, phys_max, cost);
         }
-        if begin {
-            let async_op = ctx.async_submit(if my_crash { VTime::ZERO } else { cost });
-            let deferred = if my_crash {
-                ctx.fault_mark_dead();
-                Some(MachineError::RankCrashed { rank: me }.into())
-            } else {
-                None
-            };
-            Ok((buf, digests, Some(IoHandle::new(async_op, deferred, false))))
-        } else {
-            ctx.advance(cost);
-            Ok((buf, digests, None))
-        }
+        let charged = service.charge(ctx, if my_crash { VTime::ZERO } else { cost });
+        let handle = service.settle(ctx, charged, my_crash, false)?;
+        Ok((buf, digests, handle))
     }
 }
 
@@ -901,8 +717,9 @@ mod tests {
                     let block: Vec<u8> = (0..n)
                         .map(|i| (i as u8) ^ (ctx.rank() as u8) ^ round)
                         .collect();
-                    let (off, digests) = fh.write_ordered_summed(ctx, &block).unwrap();
-                    assert!(!fh.take_peer_crashed());
+                    let (off, digests, peer_crashed) =
+                        fh.write_ordered_summed(ctx, &block).unwrap();
+                    assert!(!peer_crashed);
                     outs.push((off, digests));
                 }
                 outs
@@ -1038,7 +855,7 @@ mod tests {
                         .map(|i| (i as u8).wrapping_mul(7) ^ (ctx.rank() as u8) ^ round)
                         .collect();
                     let out = fh.write_ordered_summed(ctx, &block).unwrap();
-                    assert!(!fh.take_peer_crashed(), "sealable record expected");
+                    assert!(!out.2, "sealable record expected");
                     outs.push(out);
                 }
                 outs
@@ -1090,8 +907,7 @@ mod tests {
         let flags = Machine::run(cfg, move |ctx| {
             let fh = p.open(ctx.is_root(), "f", OpenMode::Create).unwrap();
             let block = vec![ctx.rank() as u8 + 1; 64];
-            fh.write_ordered_summed(ctx, &block).unwrap();
-            fh.take_peer_crashed()
+            fh.write_ordered_summed(ctx, &block).unwrap().2
         })
         .unwrap();
         assert_eq!(flags, vec![true; 4], "every rank must suppress the seal");

@@ -18,13 +18,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{FaultDecision, MachineError, NodeCtx, VTime};
+use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
 use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
 use parking_lot::Mutex;
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
 use crate::model::Regime;
+use crate::nonblocking::{IoHandle, Service};
 use crate::pfs::PfsShared;
 use crate::storage::Storage;
 
@@ -59,16 +60,19 @@ impl FileObj {
 /// Not `Send`: a handle belongs to the rank that opened it (its position is
 /// rank-private state), exactly like a file descriptor in the benchmark's
 /// unbuffered baseline.
+///
+/// Each ordered collective comes as a blocking call and a split-collective
+/// begin (`*_begin_summed`, returning an [`IoHandle`]) that share one body.
+/// Both report a power cut on any rank's write transfer in their result —
+/// the flag [`FileHandle::write_ordered_summed`] returns, or
+/// [`IoHandle::peer_crashed`] — so the handle keeps no fault state
+/// between calls.
 pub struct FileHandle {
     pub(crate) pfs: Arc<PfsShared>,
     pub(crate) file: Arc<FileObj>,
     pub(crate) pos: Cell<u64>,
     /// Per-handle record counter for M_RECORD-style access.
     pub(crate) record_seq: Cell<u64>,
-    /// Sticky flag set by an aggregated blocking collective write when a
-    /// peer's transfer was cut by a power-cut; the stream layer polls it
-    /// (via [`FileHandle::take_peer_crashed`]) to skip the commit seal.
-    pub(crate) agg_peer_crash: Cell<bool>,
     /// Marker making the handle `!Send`/`!Sync`.
     pub(crate) _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -99,21 +103,22 @@ impl FileHandle {
         self.file.is_empty()
     }
 
-    /// Consume the peer-crash flag left behind by an aggregated blocking
-    /// collective write. True when some rank's transfer in the last such
-    /// write was cut by a power-cut: the survivors completed the
-    /// collective (the aggregation layer's closing crash-flag all-reduce
-    /// replaces the bare barrier), but the record covering it must not be
-    /// sealed — recovery truncates to the sealed prefix. Always false on
-    /// the direct (non-aggregated) path, where a collective-write
-    /// power-cut strands the peers with `PeerGone` instead.
-    pub fn take_peer_crashed(&self) -> bool {
-        self.agg_peer_crash.replace(false)
-    }
-
     // ---- independent operations (the "unbuffered" path) -------------------
 
-    fn charge_independent(&self, ctx: &NodeCtx, op: PfsOp, offset: u64, bytes: usize) {
+    /// Charge and account one independent operation of `bytes` at
+    /// `offset`: the regime and cost from the model, the `PfsIndependent`
+    /// event, the rank's traffic estimate and the `Stats` counters. The
+    /// cost (plus `extra`, a deferred op's folded retry backoff) is paid
+    /// per `service`; the event follows the charge in both modes.
+    pub(crate) fn account_independent(
+        &self,
+        ctx: &NodeCtx,
+        op: PfsOp,
+        offset: u64,
+        bytes: usize,
+        service: Service,
+        extra: VTime,
+    ) -> Option<AsyncOp> {
         let traffic = &self.pfs.rank_traffic[ctx.rank()];
         let before = traffic.load(Ordering::Relaxed);
         // Working-set estimate: this file's bytes, mirrored on every rank
@@ -123,7 +128,7 @@ impl FileHandle {
             .model
             .independent_regime(self.file.len(), ctx.nprocs());
         let cost = self.pfs.model.independent_cost(bytes, regime, ctx.nprocs());
-        ctx.advance(cost);
+        let charged = service.charge(ctx, cost + extra);
         ctx.emit_with(|| EventKind::PfsIndependent {
             op,
             file: self.file.name.clone(),
@@ -136,20 +141,15 @@ impl FileHandle {
             cost_ns: cost.as_nanos(),
         });
         traffic.store(before + bytes as u64, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .independent_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.pfs
-            .stats
+        let stats = &self.pfs.stats;
+        stats.independent_ops.fetch_add(1, Ordering::Relaxed);
+        stats
             .independent_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
         if regime == Regime::Disk {
-            self.pfs
-                .stats
-                .disk_regime_ops
-                .fetch_add(1, Ordering::Relaxed);
+            stats.disk_regime_ops.fetch_add(1, Ordering::Relaxed);
         }
+        charged
     }
 
     // ---- fault injection and retry -----------------------------------------
@@ -196,17 +196,16 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Power-cut a write: persist the seeded prefix, record the fault,
-    /// mark the rank dead and surface the crash to the caller. Peers
-    /// observe `PeerGone` when this rank's thread unwinds.
-    fn crash_write(
+    /// Power-cut a write: persist the seeded prefix and record the
+    /// fault. The caller decides when the rank dies.
+    pub(crate) fn persist_crash_prefix(
         &self,
         ctx: &NodeCtx,
         op: u64,
         offset: u64,
         data: &[u8],
         keep: Option<usize>,
-    ) -> PfsError {
+    ) {
         let k = keep.unwrap_or(0).min(data.len());
         if k > 0 {
             let _ = self
@@ -216,6 +215,10 @@ impl FileHandle {
                 .write_at(offset, &data[..k], &self.file.name);
         }
         self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
+    }
+
+    /// Mark this rank dead and build the error that reports it.
+    pub(crate) fn die(ctx: &NodeCtx) -> PfsError {
         ctx.fault_mark_dead();
         MachineError::RankCrashed { rank: ctx.rank() }.into()
     }
@@ -280,7 +283,14 @@ impl FileHandle {
                         .write_at(offset, data, &self.file.name);
                     match res {
                         Ok(()) => {
-                            self.charge_independent(ctx, PfsOp::Write, offset, data.len());
+                            self.account_independent(
+                                ctx,
+                                PfsOp::Write,
+                                offset,
+                                data.len(),
+                                Service::Now,
+                                VTime::ZERO,
+                            );
                             return Ok(());
                         }
                         Err(e)
@@ -309,11 +319,21 @@ impl FileHandle {
                         .storage
                         .lock()
                         .write_at(offset, &data[..keep], &self.file.name)?;
-                    self.charge_independent(ctx, PfsOp::Write, offset, data.len());
+                    self.account_independent(
+                        ctx,
+                        PfsOp::Write,
+                        offset,
+                        data.len(),
+                        Service::Now,
+                        VTime::ZERO,
+                    );
                     return Ok(());
                 }
                 FaultDecision::Crash { keep } => {
-                    return Err(self.crash_write(ctx, op, offset, data, keep));
+                    // Peers observe `PeerGone` when this rank's thread
+                    // unwinds.
+                    self.persist_crash_prefix(ctx, op, offset, data, keep);
+                    return Err(Self::die(ctx));
                 }
             }
         }
@@ -338,8 +358,7 @@ impl FileHandle {
                 }
                 FaultDecision::Crash { .. } => {
                     self.emit_fault(ctx, FaultKind::Crash, op, 0);
-                    ctx.fault_mark_dead();
-                    return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
+                    return Err(Self::die(ctx));
                 }
                 // Torn applies to writes only; a read proceeds.
                 FaultDecision::Proceed | FaultDecision::Torn { .. } => {
@@ -350,7 +369,14 @@ impl FileHandle {
                         .read_at(offset, buf, &self.file.name);
                     match res {
                         Ok(()) => {
-                            self.charge_independent(ctx, PfsOp::Read, offset, buf.len());
+                            self.account_independent(
+                                ctx,
+                                PfsOp::Read,
+                                offset,
+                                buf.len(),
+                                Service::Now,
+                                VTime::ZERO,
+                            );
                             return Ok(());
                         }
                         Err(e)
@@ -424,6 +450,13 @@ impl FileHandle {
     }
 
     // ---- collective operations (the parallel-file-system path) ------------
+    //
+    // Each ordered collective has one body, shared by the blocking call
+    // here and its split-collective begin in `nonblocking`: the body
+    // takes a [`Service`] that pays the transfer's cost now or defers it
+    // onto an [`IoHandle`]. With a `CollectiveConfig` on the machine the
+    // body is the two-phase one in `aggregate`, otherwise the direct one
+    // below.
 
     /// Collective node-order append. Every rank must call this with its own
     /// block (possibly empty); on return the file contains all blocks,
@@ -434,13 +467,15 @@ impl FileHandle {
     /// latency plus total-bytes over the (possibly knee'd) aggregate PFS
     /// bandwidth. All ranks leave with synchronized virtual clocks.
     pub fn write_ordered(&self, ctx: &NodeCtx, block: &[u8]) -> Result<u64, PfsError> {
-        self.write_ordered_summed(ctx, block).map(|(off, _)| off)
+        self.write_ordered_summed(ctx, block).map(|(off, _, _)| off)
     }
 
     /// [`FileHandle::write_ordered`] that additionally returns the
     /// combinable digest of **every** rank's block — every rank leaves
     /// knowing the per-rank checksums of the bytes the collective
-    /// appended, in node order. The digests ride the size gather and plan
+    /// appended, in node order — and the peer-crash flag: true when a
+    /// power cut hit some rank's transfer, so the record covering it
+    /// must not be sealed. The digests ride the size gather and plan
     /// broadcast the operation performs anyway, so the communication
     /// shape is identical to `write_ordered`. This is what the d/stream
     /// layer seals records with.
@@ -448,125 +483,9 @@ impl FileHandle {
         &self,
         ctx: &NodeCtx,
         block: &[u8],
-    ) -> Result<(u64, Vec<ChunkSum>), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_write_ordered_summed(ctx, cc, block);
-        }
-        // One logical PFS operation: its internal coordination (barriers,
-        // size gather, plan broadcast) is plumbing, not API collectives.
-        let _scope = ctx.collective_scope();
-        let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, Some(block.len()))?;
-        // Make prior independent writes globally visible and align clocks.
-        ctx.barrier()?;
-        // Exchange block sizes and digests; rank 0 supplies the append base.
-        let my_sum = ChunkSum::of(block);
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 24 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "write_ordered: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan)
-            .ok_or_else(|| PfsError::CollectiveMismatch("write_ordered: malformed plan".into()))?;
-        if parts.len() != ctx.nprocs() + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "write_ordered plan base")?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &parts[1..] {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "write_ordered: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "write_ordered plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "write_ordered plan digest hash")?,
-                decode_u64(&frame[16..24], "write_ordered plan digest rpow")?,
-            ));
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered: my block size desynchronized".into(),
-            ));
-        }
-        let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
-        let total: u64 = sizes.iter().sum();
-        let max_block = sizes.iter().copied().max().unwrap_or(0);
-
-        // Physical transfer — the step a write fault tears or cuts short.
-        match fate {
-            FaultDecision::Proceed | FaultDecision::Transient => {
-                if !block.is_empty() {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(my_off, block, &self.file.name)?;
-                }
-            }
-            FaultDecision::Torn { keep } => {
-                let keep = keep.min(block.len());
-                self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                self.file
-                    .storage
-                    .lock()
-                    .write_at(my_off, &block[..keep], &self.file.name)?;
-            }
-            FaultDecision::Crash { keep } => {
-                // Power cut mid-collective: peers got the plan and wrote
-                // their blocks; this rank persists a prefix and dies
-                // before the closing barrier. Peers waiting there observe
-                // PeerGone when this rank's thread unwinds — a clean
-                // failure, not a hang.
-                return Err(self.crash_write(ctx, op, my_off, block, keep));
-            }
-        }
-        // Virtual cost of the single parallel operation.
-        let cost = self
-            .pfs
-            .model
-            .collective_cost(total, max_block, ctx.nprocs());
-        ctx.advance(cost);
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Write,
-            file: self.file.name.clone(),
-            offset: my_off,
-            bytes: block.len() as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(my_off, block.len() as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        // All blocks visible before anyone proceeds.
-        ctx.barrier()?;
-        Ok((my_off, digests))
+    ) -> Result<(u64, Vec<ChunkSum>, bool), PfsError> {
+        let (off, digests, peer_crashed, _) = self.ordered_write(ctx, block, Service::Now)?;
+        Ok((off, digests, peer_crashed))
     }
 
     /// Collective parallel read: every rank reads `len` bytes at `offset`
@@ -593,19 +512,115 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_read_ordered_summed(ctx, cc, offset, len);
+        let (buf, digests, _) = self.ordered_read(ctx, offset, len, Service::Now)?;
+        Ok((buf, digests))
+    }
+
+    /// The ordered write in either service mode, direct or aggregated.
+    pub(crate) fn ordered_write(
+        &self,
+        ctx: &NodeCtx,
+        block: &[u8],
+        service: Service,
+    ) -> Result<WriteOutcome, PfsError> {
+        match ctx.config().collective {
+            Some(cc) => self.agg_write_ordered(ctx, cc, block, service),
+            None => self.direct_write_ordered(ctx, block, service),
         }
+    }
+
+    /// The ordered read in either service mode, direct or aggregated.
+    pub(crate) fn ordered_read(
+        &self,
+        ctx: &NodeCtx,
+        offset: u64,
+        len: usize,
+        service: Service,
+    ) -> Result<ReadOutcome, PfsError> {
+        match ctx.config().collective {
+            Some(cc) => self.agg_read_ordered(ctx, cc, offset, len, service),
+            None => self.direct_read_ordered(ctx, offset, len, service),
+        }
+    }
+
+    fn direct_write_ordered(
+        &self,
+        ctx: &NodeCtx,
+        block: &[u8],
+        service: Service,
+    ) -> Result<WriteOutcome, PfsError> {
+        // One logical PFS operation: its internal coordination (barrier,
+        // size gather, plan broadcast, closing all-reduce) is plumbing,
+        // not API collectives.
         let _scope = ctx.collective_scope();
         let op = ctx.next_pfs_op();
-        if let FaultDecision::Crash { .. } = self.collective_fate(ctx, op, None)? {
-            // Power cut on entry: this rank never joins the collective;
-            // peers block in the opening barrier and observe PeerGone
-            // when the thread unwinds.
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-            ctx.fault_mark_dead();
-            return Err(MachineError::RankCrashed { rank: ctx.rank() }.into());
+        let fate = self.collective_fate(ctx, op, Some(block.len()))?;
+        // Make prior independent writes globally visible and align clocks.
+        ctx.barrier()?;
+        let plan = self.append_plan(ctx, block, None, "write_ordered")?;
+        let my_off = plan.offsets[ctx.rank()];
+        let max_block = plan.sizes.iter().copied().max().unwrap_or(0);
+
+        // Physical transfer — the step a write fault tears or cuts short.
+        // A power cut persists the seeded prefix, but the rank stays in
+        // the collective through the closing all-reduce so no peer is
+        // stranded; it dies after it.
+        let mut my_crash = false;
+        match fate {
+            FaultDecision::Proceed | FaultDecision::Transient => {
+                if !block.is_empty() {
+                    self.file
+                        .storage
+                        .lock()
+                        .write_at(my_off, block, &self.file.name)?;
+                }
+            }
+            FaultDecision::Torn { keep } => {
+                let keep = keep.min(block.len());
+                self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
+                self.file
+                    .storage
+                    .lock()
+                    .write_at(my_off, &block[..keep], &self.file.name)?;
+            }
+            FaultDecision::Crash { keep } => {
+                self.persist_crash_prefix(ctx, op, my_off, block, keep);
+                my_crash = true;
+            }
         }
+        // Virtual cost of the single parallel operation; a dead disk
+        // serves nothing.
+        let cost = self
+            .pfs
+            .model
+            .collective_cost(plan.total, max_block, ctx.nprocs());
+        let charged = service.charge(ctx, if my_crash { VTime::ZERO } else { cost });
+        self.record_collective(
+            ctx,
+            PfsOp::Write,
+            my_off,
+            block.len() as u64,
+            plan.total,
+            max_block,
+            cost,
+        );
+        // Closing synchronization: all blocks are visible before anyone
+        // proceeds, and every rank learns whether some transfer was cut.
+        let peer_crashed = ctx.all_reduce(my_crash as u64, |a, b| a | b)? != 0;
+        let handle = service.settle(ctx, charged, my_crash, peer_crashed)?;
+        Ok((my_off, plan.digests, peer_crashed, handle))
+    }
+
+    fn direct_read_ordered(
+        &self,
+        ctx: &NodeCtx,
+        offset: u64,
+        len: usize,
+        service: Service,
+    ) -> Result<ReadOutcome, PfsError> {
+        let _scope = ctx.collective_scope();
+        let op = ctx.next_pfs_op();
+        let my_crash = self.read_fate(ctx, op, service)?;
         ctx.barrier()?;
         // Read first so the size exchange can carry the data digests; on a
         // failed read still participate (empty contribution), then surface
@@ -640,28 +655,137 @@ impl FileHandle {
                 ));
             }
             sizes.push(decode_u64(&frame[..8], "read_ordered size frame")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "read_ordered digest hash")?,
-                decode_u64(&frame[16..24], "read_ordered digest rpow")?,
-            ));
+            digests.push(decode_sum(&frame[8..24], "read_ordered digest")?);
         }
         read_res?;
         let total: u64 = sizes.iter().sum();
         let max_block = sizes.iter().copied().max().unwrap_or(0);
-
         let cost = self
             .pfs
             .model
             .collective_cost(total, max_block, ctx.nprocs());
-        ctx.advance(cost);
+        let charged = service.charge(ctx, if my_crash { VTime::ZERO } else { cost });
+        self.record_collective(ctx, PfsOp::Read, offset, len as u64, total, max_block, cost);
+        let handle = service.settle(ctx, charged, my_crash, false)?;
+        Ok((buf, digests, handle))
+    }
+
+    /// The fault fate at the head of a collective read. A power cut kills
+    /// a blocking read on entry: the rank never joins the collective, and
+    /// peers blocked in the opening barrier observe `PeerGone` when its
+    /// thread unwinds. A deferred read instead keeps the rank in the
+    /// collective, so it stays well-formed for the peers, and returns
+    /// `true`: the death rides the handle.
+    pub(crate) fn read_fate(
+        &self,
+        ctx: &NodeCtx,
+        op: u64,
+        service: Service,
+    ) -> Result<bool, PfsError> {
+        let FaultDecision::Crash { .. } = self.collective_fate(ctx, op, None)? else {
+            return Ok(false);
+        };
+        self.emit_fault(ctx, FaultKind::Crash, op, 0);
+        match service {
+            Service::Now => Err(Self::die(ctx)),
+            Service::Deferred => Ok(true),
+        }
+    }
+
+    /// Exchange the plan of an ordered append: every rank's block size
+    /// and digest (and crash flag, when `crash` is given) travel to rank
+    /// 0, which adds the append base — the old end of file — and
+    /// broadcasts the plan. The digest is of the full intended block
+    /// even when the transfer will tear: torn writes are silent, and seal
+    /// verification catches them later.
+    pub(crate) fn append_plan(
+        &self,
+        ctx: &NodeCtx,
+        block: &[u8],
+        crash: Option<bool>,
+        what: &str,
+    ) -> Result<AppendPlan, PfsError> {
+        let frame_len = 24 + usize::from(crash.is_some());
+        let mismatch = |msg: &str| PfsError::CollectiveMismatch(format!("{what}: {msg}"));
+        let my_sum = ChunkSum::of(block);
+        let mut contrib = Vec::with_capacity(frame_len);
+        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
+        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
+        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
+        contrib.extend(crash.map(u8::from));
+        let gathered = ctx.gather(0, contrib)?;
+        let plan = if ctx.is_root() {
+            let frames = gathered.expect("root gathers");
+            let mut blocks = Vec::with_capacity(frames.len() + 1);
+            blocks.push(self.file.len().to_le_bytes().to_vec());
+            for frame in frames {
+                if frame.len() != frame_len {
+                    return Err(mismatch("malformed size/digest frame"));
+                }
+                blocks.push(frame);
+            }
+            frame_blocks(&blocks)
+        } else {
+            Vec::new()
+        };
+        let plan = ctx.broadcast(0, plan)?;
+        let parts = unframe_blocks(&plan).ok_or_else(|| mismatch("malformed plan"))?;
+        let nprocs = ctx.nprocs();
+        if parts.len() != nprocs + 1 {
+            return Err(mismatch("plan size mismatch"));
+        }
+        let base = decode_u64(&parts[0], "append plan base")?;
+        let mut out = AppendPlan {
+            offsets: Vec::with_capacity(nprocs),
+            sizes: Vec::with_capacity(nprocs),
+            digests: Vec::with_capacity(nprocs),
+            crashed: Vec::with_capacity(nprocs),
+            base,
+            total: 0,
+        };
+        let mut acc = base;
+        for frame in &parts[1..] {
+            if frame.len() != frame_len {
+                return Err(mismatch("malformed plan frame"));
+            }
+            let size = decode_u64(&frame[..8], "append plan size")?;
+            out.offsets.push(acc);
+            acc += size;
+            out.sizes.push(size);
+            out.digests
+                .push(decode_sum(&frame[8..24], "append plan digest")?);
+            out.crashed.push(frame.get(24).is_some_and(|&b| b != 0));
+        }
+        if out.sizes[ctx.rank()] != block.len() as u64 {
+            return Err(mismatch("my block size desynchronized"));
+        }
+        out.total = acc - base;
+        Ok(out)
+    }
+
+    /// Trace and account this rank's part of one parallel transfer: the
+    /// `PfsCollective` event for `bytes` at `offset` (`max_block` picks
+    /// the cache-knee regime), then the traffic estimate and `Stats`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn record_collective(
+        &self,
+        ctx: &NodeCtx,
+        op: PfsOp,
+        offset: u64,
+        bytes: u64,
+        total: u64,
+        max_block: u64,
+        cost: VTime,
+    ) {
+        let nprocs = ctx.nprocs() as u64;
         ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Read,
+            op,
             file: self.file.name.clone(),
             offset,
-            bytes: len as u64,
+            bytes,
             total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(offset, len as u64),
+            share_bytes: total / nprocs,
+            stripes: self.pfs.model.stripes_touched(offset, bytes),
             regime: if self.pfs.model.collective_knee(max_block) {
                 CollectiveRegime::CacheKnee
             } else {
@@ -669,24 +793,48 @@ impl FileHandle {
             },
             cost_ns: cost.as_nanos(),
         });
-        self.account_collective(ctx, total);
-        Ok((buf, digests))
-    }
-
-    pub(crate) fn account_collective(&self, ctx: &NodeCtx, total: u64) {
         // Traffic is shared by the whole machine; attribute an even share
         // per rank so the cache-occupancy estimate stays rank-local.
-        let share = total / ctx.nprocs() as u64;
-        self.pfs.rank_traffic[ctx.rank()].fetch_add(share, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .collective_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.pfs
-            .stats
+        self.pfs.rank_traffic[ctx.rank()].fetch_add(total / nprocs, Ordering::Relaxed);
+        let stats = &self.pfs.stats;
+        stats.collective_ops.fetch_add(1, Ordering::Relaxed);
+        stats
             .collective_bytes
-            .fetch_add(total / ctx.nprocs().max(1) as u64, Ordering::Relaxed);
+            .fetch_add(total / nprocs.max(1), Ordering::Relaxed);
     }
+}
+
+/// What an ordered write body returns: this rank's block offset, every
+/// rank's block digest, the peer-crash flag, and the handle in deferred
+/// mode.
+pub(crate) type WriteOutcome = (u64, Vec<ChunkSum>, bool, Option<IoHandle>);
+
+/// What an ordered read body returns: this rank's bytes, every rank's
+/// digest of what it read, and the handle in deferred mode.
+pub(crate) type ReadOutcome = (Vec<u8>, Vec<ChunkSum>, Option<IoHandle>);
+
+/// The plan of an ordered append, identical on every rank.
+pub(crate) struct AppendPlan {
+    /// Each rank's block offset.
+    pub(crate) offsets: Vec<u64>,
+    /// Each rank's block size.
+    pub(crate) sizes: Vec<u64>,
+    /// Each rank's block digest.
+    pub(crate) digests: Vec<ChunkSum>,
+    /// Each rank's power-cut flag (all false unless exchanged).
+    pub(crate) crashed: Vec<bool>,
+    /// The old end of file the blocks append after.
+    pub(crate) base: u64,
+    /// Total bytes appended.
+    pub(crate) total: u64,
+}
+
+/// Decode a 16-byte `hash ‖ rpow` digest exchanged during a collective.
+pub(crate) fn decode_sum(b: &[u8], what: &str) -> Result<ChunkSum, PfsError> {
+    Ok(ChunkSum::from_parts(
+        decode_u64(&b[..8], what)?,
+        decode_u64(&b[8..16], what)?,
+    ))
 }
 
 /// Decode a little-endian u64 exchanged during a collective plan.

@@ -1,15 +1,17 @@
 //! Nonblocking (split-collective) file operations.
 //!
 //! The begin-variants in this module are the PFS layer of the d/streams
-//! asynchronous pipeline. Each one performs **all coordination and the
-//! physical byte transfer at submission** — the file image and the
-//! per-rank logical PFS op indices come out byte-identical to the
-//! blocking variant — and defers only the *disk-service cost* onto the
-//! submitting rank's pending-async-op queue ([`NodeCtx::async_submit`]).
-//! The returned [`IoHandle`] carries the completion virtual time;
-//! retiring it with [`IoHandle::wait`] synchronizes the rank's clock
-//! forward to that instant (a no-op when the rank's own progress already
-//! passed it — the fully overlapped case).
+//! asynchronous pipeline. A collective begin runs the *same body* as its
+//! blocking twin in [`crate::file`] — all coordination and the physical
+//! byte transfer happen at submission, so the file image and the
+//! per-rank logical PFS op indices are identical in both modes — with
+//! one difference, selected by [`Service`]: the *disk-service cost* is
+//! queued on the submitting rank's pending-async-op queue
+//! ([`NodeCtx::async_submit`]) instead of advancing its clock. The
+//! returned [`IoHandle`] carries the completion virtual time; retiring
+//! it with [`IoHandle::wait`] synchronizes the rank's clock forward to
+//! that instant (a no-op when the rank's own progress already passed it
+//! — the fully overlapped case).
 //!
 //! Fault composition (PR 2's `FaultPlan`):
 //!
@@ -21,26 +23,73 @@
 //!   happen "in the background".
 //! * **Torn** writes behave as in the blocking path: the call reports
 //!   success, only a prefix hits storage, full cost is charged.
-//! * **Crash** (power-cut) faults are *deferred*: the rank persists the
-//!   seeded prefix and keeps participating in the collective's
-//!   coordination (so peers are not stranded mid-plan), then is marked
-//!   dead; the `RankCrashed` outcome surfaces when the handle is
-//!   waited. The collective's closing synchronization doubles as a
-//!   crash-flag reduction, so *every* rank learns whether any peer's
-//!   transfer was cut — [`IoHandle::peer_crashed`] is how the d/stream
-//!   layer knows it must not seal the in-flight record, leaving the torn
-//!   tail detectable by recovery.
+//! * **Crash** (power-cut) on a collective write: in both modes the rank
+//!   persists the seeded prefix and keeps participating in the
+//!   collective's coordination (so peers are not stranded mid-plan),
+//!   then is marked dead. The collective closes with a crash-flag
+//!   all-reduce, so *every* rank learns whether any peer's transfer was
+//!   cut — the flag the blocking call returns and
+//!   [`IoHandle::peer_crashed`] reports, and how the d/stream layer knows
+//!   it must not seal the record, leaving the torn tail detectable by
+//!   recovery. The blocking call surfaces `RankCrashed` on return; a
+//!   begin defers it to the handle's wait. A crash on a collective
+//!   *read* kills a blocking call on entry, while a begin stays in the
+//!   collective and defers the death to its handle.
 
-use std::sync::atomic::Ordering;
-
-use dstreams_machine::wire::{frame_blocks, unframe_blocks};
-use dstreams_machine::{AsyncOp, FaultDecision, MachineError, NodeCtx, VTime};
-use dstreams_trace::{CollectiveRegime, EventKind, FaultKind, IndependentRegime, PfsOp};
+use dstreams_machine::{AsyncOp, FaultDecision, NodeCtx, VTime};
+use dstreams_trace::{EventKind, FaultKind, PfsOp};
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
-use crate::file::{decode_u64, FileHandle};
-use crate::model::Regime;
+use crate::file::FileHandle;
+
+/// How an I/O body pays the service cost of its physical transfer — the
+/// one parameter that separates a blocking call from its
+/// split-collective begin. Everything else (coordination, the transfer,
+/// fault fates, trace events) is the same code in both modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Service {
+    /// Advance the rank's clock by the cost now: the blocking call.
+    Now,
+    /// Queue the cost on the rank's serial async queue and hand back an
+    /// [`IoHandle`]: the begin call.
+    Deferred,
+}
+
+impl Service {
+    /// Pay `cost`: advance the clock, or submit it to the async queue.
+    pub(crate) fn charge(self, ctx: &NodeCtx, cost: VTime) -> Option<AsyncOp> {
+        match self {
+            Service::Now => {
+                ctx.advance(cost);
+                None
+            }
+            Service::Deferred => Some(ctx.async_submit(cost)),
+        }
+    }
+
+    /// Close an operation after its closing synchronization. A rank
+    /// whose transfer was power-cut is marked dead now; the blocking
+    /// call reports `RankCrashed` at once, the deferred one when its
+    /// handle is waited.
+    pub(crate) fn settle(
+        self,
+        ctx: &NodeCtx,
+        charged: Option<AsyncOp>,
+        my_crash: bool,
+        peer_crashed: bool,
+    ) -> Result<Option<IoHandle>, PfsError> {
+        let deferred = my_crash.then(|| FileHandle::die(ctx));
+        match charged {
+            Some(op) => Ok(Some(IoHandle {
+                op,
+                deferred,
+                peer_crashed,
+            })),
+            None => deferred.map_or(Ok(None), Err),
+        }
+    }
+}
 
 /// Handle to an in-flight nonblocking PFS operation.
 ///
@@ -58,20 +107,12 @@ pub struct IoHandle {
     /// transfer: the rank is already marked dead).
     deferred: Option<PfsError>,
     /// Some rank's transfer was cut by a power-cut during this
-    /// collective (writes only).
+    /// collective (writes only) — the same flag the blocking
+    /// [`FileHandle::write_ordered_summed`] returns.
     peer_crashed: bool,
 }
 
 impl IoHandle {
-    /// Assemble a handle (used by the aggregation layer's begin-variants).
-    pub(crate) fn new(op: AsyncOp, deferred: Option<PfsError>, peer_crashed: bool) -> Self {
-        IoHandle {
-            op,
-            deferred,
-            peer_crashed,
-        }
-    }
-
     /// Virtual time at which the deferred service cost completes.
     pub fn completion(&self) -> VTime {
         self.op.completion()
@@ -107,54 +148,6 @@ impl IoHandle {
 }
 
 impl FileHandle {
-    /// Deferred-cost accounting mirror of the independent charge path:
-    /// identical event, traffic and stats bookkeeping, but the cost is
-    /// queued instead of advancing the clock.
-    fn submit_independent(
-        &self,
-        ctx: &NodeCtx,
-        op: PfsOp,
-        offset: u64,
-        bytes: usize,
-        extra: VTime,
-    ) -> AsyncOp {
-        let traffic = &self.pfs.rank_traffic[ctx.rank()];
-        let before = traffic.load(Ordering::Relaxed);
-        let regime = self
-            .pfs
-            .model
-            .independent_regime(self.file.len(), ctx.nprocs());
-        let cost = self.pfs.model.independent_cost(bytes, regime, ctx.nprocs());
-        let handle = ctx.async_submit(cost + extra);
-        ctx.emit_with(|| EventKind::PfsIndependent {
-            op,
-            file: self.file.name().to_string(),
-            offset,
-            bytes: bytes as u64,
-            regime: match regime {
-                Regime::Cached => IndependentRegime::Cached,
-                Regime::Disk => IndependentRegime::Disk,
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        traffic.store(before + bytes as u64, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .independent_ops
-            .fetch_add(1, Ordering::Relaxed);
-        self.pfs
-            .stats
-            .independent_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        if regime == Regime::Disk {
-            self.pfs
-                .stats
-                .disk_regime_ops
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        handle
-    }
-
     /// Nonblocking independent positioned write: the bytes land at
     /// submission, the service cost is deferred onto this rank's async
     /// queue. Injected transient failures are retried with the backoff
@@ -172,24 +165,8 @@ impl FileHandle {
         let mut folded_backoff = VTime::ZERO;
         loop {
             self.check_alive(ctx)?;
-            match ctx.fault_decision(op, attempt, Some(data.len())) {
-                FaultDecision::Proceed => {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, data, self.file.name())?;
-                    return Ok(IoHandle {
-                        op: self.submit_independent(
-                            ctx,
-                            PfsOp::Write,
-                            offset,
-                            data.len(),
-                            folded_backoff,
-                        ),
-                        deferred: None,
-                        peer_crashed: false,
-                    });
-                }
+            let keep = match ctx.fault_decision(op, attempt, Some(data.len())) {
+                FaultDecision::Proceed => data.len(),
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
                     let policy = self.pfs.retry;
@@ -205,46 +182,41 @@ impl FileHandle {
                         attempt: next,
                         backoff_ns: pause.as_nanos(),
                     });
+                    continue;
                 }
                 FaultDecision::Torn { keep } => {
                     let keep = keep.min(data.len());
                     self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, &data[..keep], self.file.name())?;
-                    return Ok(IoHandle {
-                        op: self.submit_independent(
-                            ctx,
-                            PfsOp::Write,
-                            offset,
-                            data.len(),
-                            folded_backoff,
-                        ),
-                        deferred: None,
-                        peer_crashed: false,
-                    });
+                    keep
                 }
                 FaultDecision::Crash { keep } => {
-                    let k = keep.unwrap_or(0).min(data.len());
-                    if k > 0 {
-                        let _ =
-                            self.file
-                                .storage
-                                .lock()
-                                .write_at(offset, &data[..k], self.file.name());
-                    }
-                    self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
-                    ctx.fault_mark_dead();
+                    self.persist_crash_prefix(ctx, op, offset, data, keep);
                     // A dead disk serves nothing: zero deferred cost, the
                     // crash outcome rides the handle.
                     return Ok(IoHandle {
                         op: ctx.async_submit(VTime::ZERO),
-                        deferred: Some(MachineError::RankCrashed { rank: ctx.rank() }.into()),
+                        deferred: Some(Self::die(ctx)),
                         peer_crashed: true,
                     });
                 }
-            }
+            };
+            self.file
+                .storage
+                .lock()
+                .write_at(offset, &data[..keep], self.file.name())?;
+            let charged = self.account_independent(
+                ctx,
+                PfsOp::Write,
+                offset,
+                data.len(),
+                Service::Deferred,
+                folded_backoff,
+            );
+            return Ok(IoHandle {
+                op: charged.expect("deferred service submits"),
+                deferred: None,
+                peer_crashed: false,
+            });
         }
     }
 
@@ -252,155 +224,18 @@ impl FileHandle {
     /// node-order append whose coordination and physical writes happen at
     /// submission, with the parallel-operation cost deferred per rank.
     /// Returns this rank's block offset, every rank's block digest, and
-    /// the in-flight handle. The closing synchronization is a crash-flag
-    /// reduction instead of a bare barrier — see [`IoHandle::peer_crashed`].
+    /// the in-flight handle, which carries the peer-crash flag — see
+    /// [`IoHandle::peer_crashed`].
     pub fn write_ordered_begin_summed(
         &self,
         ctx: &NodeCtx,
         block: &[u8],
     ) -> Result<(u64, Vec<ChunkSum>, IoHandle), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_write_ordered_begin_summed(ctx, cc, block);
-        }
-        let _scope = ctx.collective_scope();
-        let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, Some(block.len()))?;
-        ctx.barrier()?;
-        // Size/digest exchange and plan broadcast: identical to the
-        // blocking variant, byte for byte.
-        let my_sum = ChunkSum::of(block);
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let gathered = ctx.gather(0, contrib)?;
-        let plan = if ctx.is_root() {
-            let frames = gathered.expect("root gathers");
-            let base = self.file.len();
-            let mut blocks = Vec::with_capacity(frames.len() + 1);
-            blocks.push(base.to_le_bytes().to_vec());
-            for frame in &frames {
-                if frame.len() != 24 {
-                    return Err(PfsError::CollectiveMismatch(
-                        "write_ordered_begin: malformed size/digest frame".into(),
-                    ));
-                }
-                blocks.push(frame.clone());
-            }
-            frame_blocks(&blocks)
-        } else {
-            Vec::new()
-        };
-        let plan = ctx.broadcast(0, plan)?;
-        let parts = unframe_blocks(&plan).ok_or_else(|| {
-            PfsError::CollectiveMismatch("write_ordered_begin: malformed plan".into())
-        })?;
-        if parts.len() != ctx.nprocs() + 1 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered_begin: plan size mismatch".into(),
-            ));
-        }
-        let base = decode_u64(&parts[0], "write_ordered_begin plan base")?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &parts[1..] {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "write_ordered_begin: malformed plan frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "write_ordered_begin plan size")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "write_ordered_begin plan digest hash")?,
-                decode_u64(&frame[16..24], "write_ordered_begin plan digest rpow")?,
-            ));
-        }
-        if sizes[ctx.rank()] != block.len() as u64 {
-            return Err(PfsError::CollectiveMismatch(
-                "write_ordered_begin: my block size desynchronized".into(),
-            ));
-        }
-        let my_off = base + sizes[..ctx.rank()].iter().sum::<u64>();
-        let total: u64 = sizes.iter().sum();
-        let max_block = sizes.iter().copied().max().unwrap_or(0);
-
-        // Physical transfer, fault-aware. A power-cut persists the prefix
-        // but — unlike the blocking path — the rank stays in the
-        // collective so peers can finish coordination; death is deferred.
-        let mut my_crash = false;
-        match fate {
-            FaultDecision::Proceed | FaultDecision::Transient => {
-                if !block.is_empty() {
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(my_off, block, self.file.name())?;
-                }
-            }
-            FaultDecision::Torn { keep } => {
-                let keep = keep.min(block.len());
-                self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                self.file
-                    .storage
-                    .lock()
-                    .write_at(my_off, &block[..keep], self.file.name())?;
-            }
-            FaultDecision::Crash { keep } => {
-                let k = keep.unwrap_or(0).min(block.len());
-                if k > 0 {
-                    let _ =
-                        self.file
-                            .storage
-                            .lock()
-                            .write_at(my_off, &block[..k], self.file.name());
-                }
-                self.emit_fault(ctx, FaultKind::Crash, op, k as u64);
-                my_crash = true;
-            }
-        }
-        let cost = self
-            .pfs
-            .model
-            .collective_cost(total, max_block, ctx.nprocs());
-        let async_op = if my_crash {
-            ctx.async_submit(VTime::ZERO)
-        } else {
-            ctx.async_submit(cost)
-        };
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Write,
-            file: self.file.name().to_string(),
-            offset: my_off,
-            bytes: block.len() as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(my_off, block.len() as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        // Closing synchronization: every rank learns whether any peer's
-        // transfer was cut. Replaces the blocking variant's bare barrier
-        // (an all-reduce synchronizes at least as strongly).
-        let any_crash = ctx.all_reduce(my_crash as u64, |a, b| a | b)?;
-        let deferred = if my_crash {
-            ctx.fault_mark_dead();
-            Some(MachineError::RankCrashed { rank: ctx.rank() }.into())
-        } else {
-            None
-        };
+        let (off, digests, _, handle) = self.ordered_write(ctx, block, Service::Deferred)?;
         Ok((
-            my_off,
+            off,
             digests,
-            IoHandle {
-                op: async_op,
-                deferred,
-                peer_crashed: any_crash != 0,
-            },
+            handle.expect("deferred service returns a handle"),
         ))
     }
 
@@ -416,92 +251,11 @@ impl FileHandle {
         offset: u64,
         len: usize,
     ) -> Result<(Vec<u8>, Vec<ChunkSum>, IoHandle), PfsError> {
-        if let Some(cc) = ctx.config().collective {
-            return self.agg_read_ordered_begin_summed(ctx, cc, offset, len);
-        }
-        let _scope = ctx.collective_scope();
-        let op = ctx.next_pfs_op();
-        let fate = self.collective_fate(ctx, op, None)?;
-        let my_crash = matches!(fate, FaultDecision::Crash { .. });
-        if my_crash {
-            self.emit_fault(ctx, FaultKind::Crash, op, 0);
-        }
-        ctx.barrier()?;
-        let mut buf = vec![0u8; len];
-        let read_res = if len > 0 {
-            self.file
-                .storage
-                .lock()
-                .read_at(offset, &mut buf, self.file.name())
-        } else {
-            Ok(())
-        };
-        let my_sum = if read_res.is_ok() {
-            ChunkSum::of(&buf)
-        } else {
-            ChunkSum::EMPTY
-        };
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(len as u64).to_le_bytes());
-        contrib.extend_from_slice(&my_sum.hash().to_le_bytes());
-        contrib.extend_from_slice(&my_sum.rpow().to_le_bytes());
-        let frames = ctx.all_gather(contrib)?;
-        let mut sizes = Vec::with_capacity(ctx.nprocs());
-        let mut digests = Vec::with_capacity(ctx.nprocs());
-        for frame in &frames {
-            if frame.len() != 24 {
-                return Err(PfsError::CollectiveMismatch(
-                    "read_ordered_begin: malformed size/digest frame".into(),
-                ));
-            }
-            sizes.push(decode_u64(&frame[..8], "read_ordered_begin size frame")?);
-            digests.push(ChunkSum::from_parts(
-                decode_u64(&frame[8..16], "read_ordered_begin digest hash")?,
-                decode_u64(&frame[16..24], "read_ordered_begin digest rpow")?,
-            ));
-        }
-        read_res?;
-        let total: u64 = sizes.iter().sum();
-        let max_block = sizes.iter().copied().max().unwrap_or(0);
-        let cost = self
-            .pfs
-            .model
-            .collective_cost(total, max_block, ctx.nprocs());
-        let async_op = if my_crash {
-            ctx.async_submit(VTime::ZERO)
-        } else {
-            ctx.async_submit(cost)
-        };
-        ctx.emit_with(|| EventKind::PfsCollective {
-            op: PfsOp::Read,
-            file: self.file.name().to_string(),
-            offset,
-            bytes: len as u64,
-            total_bytes: total,
-            share_bytes: total / ctx.nprocs() as u64,
-            stripes: self.pfs.model.stripes_touched(offset, len as u64),
-            regime: if self.pfs.model.collective_knee(max_block) {
-                CollectiveRegime::CacheKnee
-            } else {
-                CollectiveRegime::Streaming
-            },
-            cost_ns: cost.as_nanos(),
-        });
-        self.account_collective(ctx, total);
-        let deferred = if my_crash {
-            ctx.fault_mark_dead();
-            Some(MachineError::RankCrashed { rank: ctx.rank() }.into())
-        } else {
-            None
-        };
+        let (buf, digests, handle) = self.ordered_read(ctx, offset, len, Service::Deferred)?;
         Ok((
             buf,
             digests,
-            IoHandle {
-                op: async_op,
-                deferred,
-                peer_crashed: false,
-            },
+            handle.expect("deferred service returns a handle"),
         ))
     }
 }
@@ -509,42 +263,110 @@ impl FileHandle {
 #[cfg(test)]
 mod tests {
     use crate::pfs::{OpenMode, Pfs};
-    use crate::DiskModel;
-    use dstreams_machine::{Machine, MachineConfig, VTime};
+    use crate::{DiskModel, PfsError};
+    use dstreams_machine::{
+        CollectiveConfig, FaultPlan, Machine, MachineConfig, MachineError, VTime,
+    };
 
+    /// Blocking and begin variants share one body per operation: the
+    /// same file bytes, offsets, digests and read-backs, on the direct
+    /// path and under aggregation alike.
     #[test]
     fn begin_variant_writes_the_same_bytes_as_blocking() {
-        let run = |nonblocking: bool| {
+        let run = |nonblocking: bool, collective: Option<CollectiveConfig>| {
             let pfs = Pfs::in_memory(3);
             let p = pfs.clone();
-            Machine::run(MachineConfig::functional(3), move |ctx| {
+            let mut cfg = MachineConfig::functional(3);
+            cfg.collective = collective;
+            let per_rank = Machine::run(cfg, move |ctx| {
                 let fh = p.open(ctx.is_root(), "f", OpenMode::Create).unwrap();
+                let mut outs = Vec::new();
                 for round in 0..3u8 {
                     let block = vec![round * 10 + ctx.rank() as u8; ctx.rank() + 1];
-                    if nonblocking {
+                    let (off, digests) = if nonblocking {
                         let (off, digests, h) = fh.write_ordered_begin_summed(ctx, &block).unwrap();
-                        assert_eq!(digests.len(), 3);
                         assert!(!h.peer_crashed());
-                        let _ = off;
                         h.wait(ctx).unwrap();
+                        (off, digests)
                     } else {
-                        fh.write_ordered(ctx, &block).unwrap();
-                    }
+                        let (off, digests, peer_crashed) =
+                            fh.write_ordered_summed(ctx, &block).unwrap();
+                        assert!(!peer_crashed);
+                        (off, digests)
+                    };
+                    assert_eq!(digests.len(), 3);
+                    // Read back an uneven decomposition of the file so far.
+                    let len = fh.len();
+                    let (lo, hi) = (
+                        len * ctx.rank() as u64 / 4,
+                        len * (ctx.rank() as u64 + 1) / 3,
+                    );
+                    let read = if nonblocking {
+                        let (buf, digests, h) = fh
+                            .read_ordered_begin_summed(ctx, lo, (hi - lo) as usize)
+                            .unwrap();
+                        assert!(!h.peer_crashed());
+                        h.wait(ctx).unwrap();
+                        (buf, digests)
+                    } else {
+                        fh.read_ordered_summed(ctx, lo, (hi - lo) as usize).unwrap()
+                    };
+                    outs.push((off, digests, read));
                 }
+                outs
             })
             .unwrap();
             let p2 = pfs.clone();
             let size = pfs.file_size("f").unwrap() as usize;
-            Machine::run(MachineConfig::functional(1), move |ctx| {
+            let bytes = Machine::run(MachineConfig::functional(1), move |ctx| {
                 let fh = p2.open(false, "f", OpenMode::Read).unwrap();
                 let mut buf = vec![0u8; size];
                 fh.read_at(ctx, 0, &mut buf).unwrap();
                 buf
             })
             .unwrap()[0]
-                .clone()
+                .clone();
+            (per_rank, bytes)
         };
-        assert_eq!(run(false), run(true));
+        let reference = run(false, None);
+        let aggregated = CollectiveConfig {
+            aggregators: 2,
+            stripe_align: true,
+        };
+        for collective in [None, Some(aggregated)] {
+            for nonblocking in [false, true] {
+                assert_eq!(
+                    run(nonblocking, collective),
+                    reference,
+                    "nonblocking = {nonblocking}, collective = {collective:?}"
+                );
+            }
+        }
+    }
+
+    /// A power cut on a blocking direct write does not strand the
+    /// survivors: the crashed rank stays in the collective through the
+    /// closing crash-flag all-reduce and then fails, while every
+    /// survivor completes and learns the record must stay unsealed.
+    #[test]
+    fn killed_rank_direct_write_completes_unsealed() {
+        let pfs = Pfs::new(4, DiskModel::paragon_pfs(), crate::Backend::Memory);
+        let p = pfs.clone();
+        let cfg = MachineConfig::functional(4).with_faults(FaultPlan::seeded(3).crash_at(1, 0));
+        let outcomes = Machine::run(cfg, move |ctx| {
+            let fh = p.open(ctx.is_root(), "f", OpenMode::Create).unwrap();
+            let block = vec![ctx.rank() as u8 + 1; 64];
+            fh.write_ordered_summed(ctx, &block)
+                .map(|(_, _, peer_crashed)| peer_crashed)
+        })
+        .unwrap();
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Err(PfsError::Machine(MachineError::RankCrashed { rank: 1 })) if rank == 1 => {}
+                Ok(true) if rank != 1 => {}
+                other => panic!("rank {rank}: unexpected outcome {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -179,7 +179,6 @@ impl Pfs {
             file,
             pos: Cell::new(0),
             record_seq: Cell::new(0),
-            agg_peer_crash: Cell::new(false),
             _not_send: std::marker::PhantomData,
         })
     }

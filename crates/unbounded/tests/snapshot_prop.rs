@@ -59,16 +59,21 @@ fn val(seg: u64, rec: u64, gid: usize) -> u64 {
 
 /// Read the on-disk manifest directly (every rank reads the same bytes),
 /// so invariants are checked against what is actually durable rather
-/// than any in-memory state.
+/// than any in-memory state. Collective: the closing barrier orders
+/// every rank's read before root's next manifest rewrite, which
+/// truncates the file.
 fn read_manifest(ctx: &NodeCtx, pfs: &Pfs) -> StreamManifest {
     let name = manifest_file_name(STREAM);
-    if !pfs.exists(&name) {
-        return StreamManifest::default();
-    }
-    let fh = pfs.open(false, &name, OpenMode::Read).unwrap();
-    let mut b = vec![0u8; fh.len() as usize];
-    fh.read_at(ctx, 0, &mut b).unwrap();
-    StreamManifest::decode(&b).unwrap()
+    let m = if pfs.exists(&name) {
+        let fh = pfs.open(false, &name, OpenMode::Read).unwrap();
+        let mut b = vec![0u8; fh.len() as usize];
+        fh.read_at(ctx, 0, &mut b).unwrap();
+        StreamManifest::decode(&b).unwrap()
+    } else {
+        StreamManifest::default()
+    };
+    ctx.barrier().unwrap();
+    m
 }
 
 /// One model reader: the live handle plus where the model says its
