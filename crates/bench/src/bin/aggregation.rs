@@ -14,8 +14,7 @@
 //! operations and stripes — the collective-buffering claim this repo's
 //! CI holds the subsystem to.
 
-use std::io::Write as _;
-
+use dstreams_bench::Cli;
 use dstreams_machine::{CollectiveConfig, Machine, MachineConfig};
 use dstreams_pfs::{Backend, DiskModel, OpenMode, Pfs};
 use dstreams_trace::json::Value;
@@ -46,9 +45,8 @@ fn run_once(nprocs: usize, aggregators: Option<usize>, record_bytes: usize) -> R
         });
     }
     let pfs = Pfs::new(nprocs, DiskModel::paragon_pfs(), Backend::Memory);
-    let p = pfs.clone();
-    let vtime_ns = Machine::run(cfg, move |ctx| {
-        let fh = p
+    let vtime_ns = Machine::run(cfg, |ctx| {
+        let fh = pfs
             .open(ctx.is_root(), "agg_bench", OpenMode::Create)
             .unwrap();
         ctx.barrier().unwrap();
@@ -126,18 +124,12 @@ impl Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_aggregation.json".to_string());
+    let cli = Cli::parse("BENCH_aggregation.json");
 
     // (nprocs, aggregators, record bytes): the headline configuration is
     // 64 ranks funneled through 8 aggregators at small records, where
     // per-rank startup dominates the direct path.
-    let configs: &[(usize, usize, usize)] = if smoke {
+    let configs: &[(usize, usize, usize)] = if cli.smoke {
         &[(8, 2, 256)]
     } else {
         &[
@@ -199,30 +191,18 @@ fn main() {
         rows.push(row);
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("collective_buffering".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
+    cli.finish(
+        "collective_buffering",
+        vec![
         ("speedup_floor".into(), Value::Num(SPEEDUP_FLOOR)),
         (
             "results".into(),
             Value::Arr(rows.iter().map(Row::to_json).collect()),
         ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!("\ncollective-buffering claim holds: every configuration >= {SPEEDUP_FLOOR}x with strictly fewer ops and stripes");
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ],
+        &violations,
+        &format!(
+            "collective-buffering claim holds: every configuration >= {SPEEDUP_FLOOR}x with strictly fewer ops and stripes"
+        ),
+    );
 }

@@ -18,9 +18,8 @@
 //! Writes machine-readable results (default `BENCH_degradation.json`)
 //! and exits nonzero if a claim is violated.
 
-use std::io::Write as _;
-
 use dstreams_bench::percentile::Percentiles;
+use dstreams_bench::Cli;
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_core::CheckpointManager;
 use dstreams_machine::{CollectiveConfig, FaultPlan, Machine, MachineConfig, MsgFaultPlan};
@@ -60,8 +59,7 @@ fn workload(nprocs: usize, elements: usize, records: u64, msg: Option<MsgFaultPl
     if let Some(msg) = msg {
         config = config.with_faults(FaultPlan::default().with_msg(msg));
     }
-    let p = pfs.clone();
-    let per_rank = Machine::run(config, move |ctx| {
+    let per_rank = Machine::run(config, |ctx| {
         let layout = Layout::dense(elements, nprocs, DistKind::Block).unwrap();
         let mgr = CheckpointManager::new("deg", 2);
         let mut g = Collection::new(ctx, layout.clone(), |i| i as u64).unwrap();
@@ -69,7 +67,7 @@ fn workload(nprocs: usize, elements: usize, records: u64, msg: Option<MsgFaultPl
         for step in 1..=records {
             g.apply(|v| *v += 1000);
             let before = ctx.now();
-            mgr.save(ctx, &p, &g, step).unwrap();
+            mgr.save(ctx, &pfs, &g, step).unwrap();
             save_ns.push(ctx.now().as_nanos() - before.as_nanos());
         }
         (ctx.now().as_nanos(), save_ns)
@@ -109,16 +107,14 @@ fn row_json(label: &str, drop_ppm: u32, run: &Run, overhead: f64) -> Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_degradation.json".to_string());
+    let cli = Cli::parse("BENCH_degradation.json");
 
-    let (nprocs, elements, records) = if smoke { (4, 4096, 2) } else { (8, 32768, 3) };
-    let drop_rates: &[u32] = if smoke {
+    let (nprocs, elements, records) = if cli.smoke {
+        (4, 4096, 2)
+    } else {
+        (8, 32768, 3)
+    };
+    let drop_rates: &[u32] = if cli.smoke {
         &[50_000, 150_000]
     } else {
         &[10_000, 50_000, 100_000, 150_000, 200_000]
@@ -198,32 +194,18 @@ fn main() {
         rows.push(row_json("chaos", drop, &run, overhead));
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("degradation".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("overhead_ceiling".into(), Value::Num(OVERHEAD_CEILING)),
-        ("seed".into(), Value::Int(SEED as i64)),
-        ("results".into(), Value::Arr(rows)),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!(
-            "\ndegradation claim holds: zero-fault reliability costs <= {:.0}% and every \
+    cli.finish(
+        "degradation",
+        vec![
+            ("overhead_ceiling".into(), Value::Num(OVERHEAD_CEILING)),
+            ("seed".into(), Value::Int(SEED as i64)),
+            ("results".into(), Value::Arr(rows)),
+        ],
+        &violations,
+        &format!(
+            "degradation claim holds: zero-fault reliability costs <= {:.0}% and every \
              drop rate completes byte-exact in bounded virtual time",
             OVERHEAD_CEILING * 100.0
-        );
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
 }

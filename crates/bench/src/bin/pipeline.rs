@@ -11,9 +11,8 @@
 //! synchronous run by at least 1.5× — the overlap claim this repo's CI
 //! holds the subsystem to.
 
-use std::io::Write as _;
-
 use dstreams_bench::percentile::Percentiles;
+use dstreams_bench::Cli;
 use dstreams_scf::{calibrate_compute, run_checkpoint, run_checkpoint_traced, OverlapSpec};
 use dstreams_trace::json::Value;
 use dstreams_trace::EventKind;
@@ -88,17 +87,11 @@ fn run_config(nprocs: usize, n_segments: usize, iterations: usize) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
+    let cli = Cli::parse("BENCH_pipeline.json");
 
     // (nprocs, segments, iterations): paper-scale checkpoint loops on the
-    // Paragon preset; smoke keeps CI fast.
-    let configs: &[(usize, usize, usize)] = if smoke {
+    // Paragon preset; cli.smoke keeps CI fast.
+    let configs: &[(usize, usize, usize)] = if cli.smoke {
         &[(2, 64, 6)]
     } else {
         &[(4, 256, 8), (4, 1000, 8), (8, 1000, 8)]
@@ -142,30 +135,16 @@ fn main() {
         rows.push(row);
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("scf_checkpoint_overlap".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("speedup_floor".into(), Value::Num(SPEEDUP_FLOOR)),
-        (
-            "results".into(),
-            Value::Arr(rows.iter().map(Row::to_json).collect()),
-        ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!("\noverlap claim holds: every configuration >= {SPEEDUP_FLOOR}x");
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+    cli.finish(
+        "scf_checkpoint_overlap",
+        vec![
+            ("speedup_floor".into(), Value::Num(SPEEDUP_FLOOR)),
+            (
+                "results".into(),
+                Value::Arr(rows.iter().map(Row::to_json).collect()),
+            ),
+        ],
+        &violations,
+        &format!("overlap claim holds: every configuration >= {SPEEDUP_FLOOR}x"),
+    );
 }

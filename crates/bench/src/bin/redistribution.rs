@@ -19,8 +19,7 @@
 //!   header, size-table, and data I/O are byte-identical) beats the naive
 //!   path by at least 1.5x in modeled time.
 
-use std::io::Write as _;
-
+use dstreams_bench::Cli;
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_core::{IStream, OStream, ReadStrategy};
 use dstreams_machine::{Machine, MachineConfig};
@@ -72,12 +71,11 @@ fn analytic_lower_bound(cfg: &Config) -> u64 {
 }
 
 fn write_checkpoint(pfs: &Pfs, cfg: &Config) {
-    let p = pfs.clone();
     let (n, w, kind) = (cfg.elements, cfg.writers, cfg.writer_kind);
     Machine::run(MachineConfig::paragon(w), move |ctx| {
         let layout = Layout::dense(n, w, kind).unwrap();
         let g = Collection::new(ctx, layout.clone(), |i| i as u64).unwrap();
-        let mut s = OStream::create(ctx, &p, &layout, "ckpt").unwrap();
+        let mut s = OStream::create(ctx, pfs, &layout, "ckpt").unwrap();
         s.insert_collection(&g).unwrap();
         s.write().unwrap();
         s.close().unwrap();
@@ -86,13 +84,12 @@ fn write_checkpoint(pfs: &Pfs, cfg: &Config) {
 }
 
 fn read_checkpoint(pfs: &Pfs, cfg: &Config, strategy: ReadStrategy) -> Run {
-    let p = pfs.clone();
     let (n, r, kind) = (cfg.elements, cfg.readers, cfg.reader_kind);
     let sink = TraceSink::new(r);
     let vtime_ns = Machine::run(MachineConfig::paragon(r).traced(sink.clone()), move |ctx| {
         let layout = Layout::dense(n, r, kind).unwrap();
         let mut g = Collection::new(ctx, layout.clone(), |_| 0u64).unwrap();
-        let mut s = IStream::open_with(ctx, &p, &layout, "ckpt", strategy).unwrap();
+        let mut s = IStream::open_with(ctx, pfs, &layout, "ckpt", strategy).unwrap();
         s.read().unwrap();
         s.extract_collection(&mut g).unwrap();
         s.close().unwrap();
@@ -191,18 +188,12 @@ impl Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_redistribution.json".to_string());
+    let cli = Cli::parse("BENCH_redistribution.json");
 
     // Headline: a 64-rank CYCLIC(3) checkpoint re-read BLOCK on 8 ranks.
     // Controls: the identical layout moves nothing, and awkward reader
     // counts (7, 13 — neither divides 64) stay exactly minimal.
-    let configs: Vec<Config> = if smoke {
+    let configs: Vec<Config> = if cli.smoke {
         vec![
             Config {
                 writers: 16,
@@ -319,33 +310,19 @@ fn main() {
         rows.push(row);
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("redistribution".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("speedup_floor".into(), Value::Num(SPEEDUP_FLOOR)),
-        (
-            "results".into(),
-            Value::Arr(rows.iter().map(Row::to_json).collect()),
-        ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!(
-            "\nredistribution claim holds: every shape moves exactly the analytic minimum; \
+    cli.finish(
+        "redistribution",
+        vec![
+            ("speedup_floor".into(), Value::Num(SPEEDUP_FLOOR)),
+            (
+                "results".into(),
+                Value::Arr(rows.iter().map(Row::to_json).collect()),
+            ),
+        ],
+        &violations,
+        &format!(
+            "redistribution claim holds: every shape moves exactly the analytic minimum; \
              headline redistribution step >= {SPEEDUP_FLOOR}x over the naive framed all-to-all"
-        );
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
 }

@@ -20,9 +20,8 @@
 //! to dump `<prefix>-baseline.dstrace.json` and
 //! `<prefix>-hostile.dstrace.json` for `dsverify`.
 
-use std::io::Write as _;
-
 use dstreams_bench::percentile::Percentiles;
+use dstreams_bench::Cli;
 use dstreams_machine::{Machine, MachineConfig};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_serve::{
@@ -164,9 +163,8 @@ fn run(s: &Shape, tenants: &[TenantProfile], arrivals: &[Arrival], label: &str) 
         config = config.traced(sk.clone());
     }
     let cfg = ServiceConfig::for_model(pfs.model());
-    let p = pfs.clone();
-    let mut reports = Machine::run(config, move |ctx| {
-        run_service(ctx, &p, &cfg, tenants, arrivals).expect("service loop")
+    let mut reports = Machine::run(config, |ctx| {
+        run_service(ctx, &pfs, &cfg, tenants, arrivals).expect("service loop")
     })
     .expect("service bench run");
     if let (Some(prefix), Some(sk)) = (trace_prefix, sink) {
@@ -304,15 +302,9 @@ fn print_rows(label: &str, rows: &[ClassRow]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_service.json".to_string());
+    let cli = Cli::parse("BENCH_service.json");
 
-    let s = shape(smoke);
+    let s = shape(cli.smoke);
     let tenants = baseline_tenants(s.elements);
     let hostile = TenantProfile {
         tenant: HOSTILE_TENANT,
@@ -406,54 +398,40 @@ fn main() {
         violations.push("the flood was never shed — admission control did not engage".into());
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("service".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("seed".into(), Value::Int(SEED as i64)),
-        ("nprocs".into(), Value::Int(s.nprocs as i64)),
-        ("sessions".into(), Value::Int(s.sessions as i64)),
-        (
-            "concurrency_floor".into(),
-            Value::Int(s.concurrency_floor as i64),
-        ),
-        ("isolation_ceiling".into(), Value::Num(ISOLATION_CEILING)),
-        (
-            "premium_p99_ratio_hostile_over_baseline".into(),
-            Value::Num(isolation),
-        ),
-        ("flood_requests_shed".into(), Value::Int(flood_shed as i64)),
-        (
-            "results".into(),
-            Value::Arr(vec![
-                run_json("baseline", &base_report, &base_rows, base_concurrency),
-                run_json(
-                    "hostile",
-                    &hostile_report,
-                    &hostile_rows,
-                    hostile_concurrency,
-                ),
-            ]),
-        ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!(
-            "\nservice claims hold: >= {} concurrent sessions, byte-identical reads, and a \
+    cli.finish(
+        "service",
+        vec![
+            ("seed".into(), Value::Int(SEED as i64)),
+            ("nprocs".into(), Value::Int(s.nprocs as i64)),
+            ("sessions".into(), Value::Int(s.sessions as i64)),
+            (
+                "concurrency_floor".into(),
+                Value::Int(s.concurrency_floor as i64),
+            ),
+            ("isolation_ceiling".into(), Value::Num(ISOLATION_CEILING)),
+            (
+                "premium_p99_ratio_hostile_over_baseline".into(),
+                Value::Num(isolation),
+            ),
+            ("flood_requests_shed".into(), Value::Int(flood_shed as i64)),
+            (
+                "results".into(),
+                Value::Arr(vec![
+                    run_json("baseline", &base_report, &base_rows, base_concurrency),
+                    run_json(
+                        "hostile",
+                        &hostile_report,
+                        &hostile_rows,
+                        hostile_concurrency,
+                    ),
+                ]),
+            ),
+        ],
+        &violations,
+        &format!(
+            "service claims hold: >= {} concurrent sessions, byte-identical reads, and a \
              hostile tenant cannot push premium p99 past x{:.1}",
             s.concurrency_floor, ISOLATION_CEILING
-        );
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
 }

@@ -20,9 +20,8 @@
 //! overhead at any depth >= 4 — the in-situ claim this repo's CI holds
 //! the subsystem to.
 
-use std::io::Write as _;
-
 use dstreams_bench::percentile::Percentiles;
+use dstreams_bench::Cli;
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_machine::{Machine, MachineConfig, NodeCtx, VTime};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
@@ -118,30 +117,16 @@ struct Run {
 }
 
 fn run_once(shape: &Shape, depth: usize, tail: bool) -> Run {
-    let nprocs = shape.nprocs;
-    let sink = TraceSink::new(nprocs);
-    let pfs = Pfs::new(nprocs, DiskModel::paragon_pfs(), Backend::Memory);
-    let p = pfs.clone();
-    let elements = shape.elements;
-    let segments = shape.segments;
-    let records = shape.records;
-    let compute = shape.compute;
-    let sh = Shape {
-        nprocs,
-        elements,
-        segments,
-        records,
-        compute,
-        depths: shape.depths,
-    };
+    let sink = TraceSink::new(shape.nprocs);
+    let pfs = Pfs::new(shape.nprocs, DiskModel::paragon_pfs(), Backend::Memory);
     let per_rank = Machine::run(
-        MachineConfig::paragon(nprocs).traced(sink.clone()),
-        move |ctx| {
-            let layout = Layout::dense(elements, ctx.nprocs(), DistKind::Block).unwrap();
+        MachineConfig::paragon(shape.nprocs).traced(sink.clone()),
+        |ctx| {
+            let layout = Layout::dense(shape.elements, ctx.nprocs(), DistKind::Block).unwrap();
             if tail {
-                let mut reader = TailReader::attach(ctx, &p, &layout, "bench").unwrap();
+                let mut reader = TailReader::attach(ctx, &pfs, &layout, "bench").unwrap();
                 let lo = layout.clone();
-                let producer_ns = produce(ctx, &p, &layout, &sh, depth, "bench", |ctx| {
+                let producer_ns = produce(ctx, &pfs, &layout, shape, depth, "bench", |ctx| {
                     // Consume everything sealed so far: the in-situ
                     // analysis pass between simulation steps.
                     let mut consumed = 0u64;
@@ -163,7 +148,7 @@ fn run_once(shape: &Shape, depth: usize, tail: bool) -> Run {
                 reader.detach().unwrap();
                 producer_ns
             } else {
-                produce(ctx, &p, &layout, &sh, depth, "bench", |_| 0)
+                produce(ctx, &pfs, &layout, shape, depth, "bench", |_| 0)
             }
         },
     )
@@ -222,14 +207,8 @@ impl Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_streaming.json".to_string());
-    let sh = shape(smoke);
+    let cli = Cli::parse("BENCH_streaming.json");
+    let sh = shape(cli.smoke);
 
     println!(
         "Unbounded append stream, Paragon preset, {} ranks, {}x{} records of {} elements:\n",
@@ -278,37 +257,23 @@ fn main() {
         rows.push(row);
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("streaming_tail_overhead".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("overhead_floor_pct".into(), Value::Num(OVERHEAD_FLOOR_PCT)),
-        (
-            "overhead_floor_depth".into(),
-            Value::Int(OVERHEAD_FLOOR_DEPTH as i64),
-        ),
-        (
-            "results".into(),
-            Value::Arr(rows.iter().map(Row::to_json).collect()),
-        ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!(
-            "\nin-situ claim holds: tailing overhead <= {OVERHEAD_FLOOR_PCT}% at depth >= \
+    cli.finish(
+        "streaming_tail_overhead",
+        vec![
+            ("overhead_floor_pct".into(), Value::Num(OVERHEAD_FLOOR_PCT)),
+            (
+                "overhead_floor_depth".into(),
+                Value::Int(OVERHEAD_FLOOR_DEPTH as i64),
+            ),
+            (
+                "results".into(),
+                Value::Arr(rows.iter().map(Row::to_json).collect()),
+            ),
+        ],
+        &violations,
+        &format!(
+            "in-situ claim holds: tailing overhead <= {OVERHEAD_FLOOR_PCT}% at depth >= \
              {OVERHEAD_FLOOR_DEPTH}"
-        );
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
 }

@@ -22,9 +22,9 @@
 //! Writes machine-readable results (default `BENCH_dsverify.json`) and
 //! exits nonzero if a claim is violated.
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use dstreams_bench::Cli;
 use dstreams_machine::{Machine, MachineConfig};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_serve::{
@@ -79,9 +79,8 @@ fn service_trace(smoke: bool) -> Trace {
     let cfg = ServiceConfig::for_model(pfs.model());
     let sink = TraceSink::new(nprocs);
     let config = MachineConfig::paragon(nprocs).traced(sink.clone());
-    let p = pfs.clone();
-    Machine::run(config, move |ctx| {
-        run_service(ctx, &p, &cfg, &tenants, &arrivals).expect("service loop")
+    Machine::run(config, |ctx| {
+        run_service(ctx, &pfs, &cfg, &tenants, &arrivals).expect("service loop")
     })
     .expect("service run");
     sink.take()
@@ -112,15 +111,9 @@ fn time_analyze(trace: &Trace) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_dsverify.json".to_string());
+    let cli = Cli::parse("BENCH_dsverify.json");
 
-    let trace = service_trace(smoke);
+    let trace = service_trace(cli.smoke);
     let total = trace.events.len();
     let half = prefix(&trace, total / 2);
 
@@ -156,39 +149,25 @@ fn main() {
         ));
     }
 
-    let json = Value::Obj(vec![
-        ("bench".into(), Value::Str("dsverify_throughput".into())),
-        (
-            "mode".into(),
-            Value::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("events".into(), Value::Int(total as i64)),
-        ("nprocs".into(), Value::Int(trace.nprocs as i64)),
-        ("full_ms".into(), Value::Num(t_full * 1e3)),
-        ("half_ms".into(), Value::Num(t_half * 1e3)),
-        ("full_over_half".into(), Value::Num(ratio)),
-        ("events_per_sec".into(), Value::Num(events_per_sec)),
-        ("quadratic_ceiling".into(), Value::Num(QUADRATIC_CEILING)),
-        (
-            "floor_events_per_sec".into(),
-            Value::Num(FLOOR_EVENTS_PER_SEC),
-        ),
-    ])
-    .to_json_pretty();
-    let mut f = std::fs::File::create(&out_path).expect("create json output");
-    f.write_all(json.as_bytes()).expect("write json output");
-    f.write_all(b"\n").expect("write json output");
-    eprintln!("wrote {out_path}");
-
-    if violations.is_empty() {
-        println!(
+    cli.finish(
+        "dsverify_throughput",
+        vec![
+            ("events".into(), Value::Int(total as i64)),
+            ("nprocs".into(), Value::Int(trace.nprocs as i64)),
+            ("full_ms".into(), Value::Num(t_full * 1e3)),
+            ("half_ms".into(), Value::Num(t_half * 1e3)),
+            ("full_over_half".into(), Value::Num(ratio)),
+            ("events_per_sec".into(), Value::Num(events_per_sec)),
+            ("quadratic_ceiling".into(), Value::Num(QUADRATIC_CEILING)),
+            (
+                "floor_events_per_sec".into(),
+                Value::Num(FLOOR_EVENTS_PER_SEC),
+            ),
+        ],
+        &violations,
+        &format!(
             "dsverify throughput claims hold: sub-quadratic scaling and >= \
              {FLOOR_EVENTS_PER_SEC:.0} events/s"
-        );
-    } else {
-        for v in &violations {
-            println!("VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+        ),
+    );
 }

@@ -1,50 +1,87 @@
-//! Shared helpers for the Criterion benches and the bench bins.
+//! The benchmark harness: the bench bins under `src/bin` and the pieces
+//! they share.
 //!
-//! The benches in this crate measure **virtual time**: the Criterion
-//! benches under `benches/` use `iter_custom` to report *simulated
-//! platform seconds* from the calibrated cost models, regenerating the
-//! paper's tables and the ablations of its design choices
-//! deterministically, and the bins under `src/bin` write the
-//! `BENCH_*.json` files from the same clocks. The one host-timed bin is
-//! `verify_throughput` (dsverify events per second). The host time of
-//! the library's own I/O path is measured by the separate `perfbench`
-//! crate (`python3 perfbench/run.py`).
+//! The bins measure **virtual time**, the simulated platform seconds of
+//! the calibrated cost models, so every number is deterministic. `tables`
+//! regenerates the paper's Tables 1–4 and, with `tables ablate`, the
+//! ablations of its design choices ([`ablate`]); the other bins write
+//! one `BENCH_*.json` each. The host-timed exceptions are
+//! `verify_throughput` (dsverify events per second) and the real-disk
+//! rows of `tables ablate`. The host time of the library's own I/O path
+//! is measured by the separate `perfbench` crate
+//! (`python3 perfbench/run.py`).
 
 #![forbid(unsafe_code)]
 
+pub mod ablate;
 pub mod percentile;
 
-use std::time::Duration;
+use std::io::Write as _;
 
-use dstreams_machine::{Machine, MachineConfig, VTime};
-use dstreams_scf::{run_cell, CellSpec, IoMethod, Platform};
+use dstreams_trace::json::Value;
 
-/// Run one benchmark cell and convert its simulated seconds into a
-/// `Duration` for Criterion's `iter_custom`.
-pub fn cell_virtual_duration(
-    platform: Platform,
-    nprocs: usize,
-    n_segments: usize,
-    method: IoMethod,
-) -> Duration {
-    let secs = run_cell(CellSpec {
-        platform,
-        nprocs,
-        n_segments,
-        method,
-    })
-    .expect("benchmark cell");
-    Duration::from_nanos((secs * 1e9) as u64)
+/// The `[--smoke] [--out PATH]` command line every bench bin takes.
+pub struct Cli {
+    /// Run the small CI configurations instead of the full sweep.
+    pub smoke: bool,
+    /// Where the JSON results are written.
+    pub out: String,
 }
 
-/// Run an SPMD closure on a machine and return the slowest rank's virtual
-/// time as a `Duration` — used by ablations that assemble their own
-/// pipelines.
-pub fn machine_virtual_duration<F>(config: MachineConfig, f: F) -> Duration
-where
-    F: Fn(&dstreams_machine::NodeCtx) -> VTime + Sync,
-{
-    let times = Machine::run(config, |ctx| f(ctx)).expect("machine run");
-    let worst = times.into_iter().fold(VTime::ZERO, VTime::max);
-    Duration::from_nanos(worst.as_nanos())
+impl Cli {
+    /// Parse the process arguments; without `--out` the results go to
+    /// `default_out`.
+    pub fn parse(default_out: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let out = args
+            .iter()
+            .position(|a| a == "--out")
+            .and_then(|i| args.get(i + 1).cloned())
+            .unwrap_or_else(|| default_out.to_string());
+        Cli {
+            smoke: args.iter().any(|a| a == "--smoke"),
+            out,
+        }
+    }
+
+    /// Write `{"bench", "mode", ..fields}` to the output path, then
+    /// report the claims (see [`verdict`]).
+    pub fn finish(
+        &self,
+        bench: &str,
+        fields: Vec<(String, Value)>,
+        violations: &[String],
+        holds: &str,
+    ) {
+        let mode = if self.smoke { "smoke" } else { "full" };
+        let mut obj = vec![
+            ("bench".into(), Value::Str(bench.into())),
+            ("mode".into(), Value::Str(mode.into())),
+        ];
+        obj.extend(fields);
+        write_json(&self.out, &Value::Obj(obj));
+        verdict(violations, holds);
+    }
+}
+
+/// Write `json` pretty-printed and newline-terminated to `path`.
+pub fn write_json(path: &str, json: &Value) {
+    let mut f = std::fs::File::create(path).expect("create json output");
+    f.write_all(json.to_json_pretty().as_bytes())
+        .expect("write json output");
+    f.write_all(b"\n").expect("write json output");
+    eprintln!("wrote {path}");
+}
+
+/// Print `holds` when no claim is violated; otherwise print each
+/// violation and exit 1.
+pub fn verdict(violations: &[String], holds: &str) {
+    if violations.is_empty() {
+        println!("\n{holds}");
+        return;
+    }
+    for v in violations {
+        println!("VIOLATED: {v}");
+    }
+    std::process::exit(1);
 }

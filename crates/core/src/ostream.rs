@@ -28,15 +28,15 @@ pub enum MetaPolicy {
         /// Collections smaller than this use [`MetaMode::Gathered`].
         small_threshold: usize,
     },
-    /// Always use the given mode (ablation benches use this).
+    /// Always use the given mode (the ablations use this).
     Force(MetaMode),
 }
 
 impl Default for MetaPolicy {
     fn default() -> Self {
-        // Crossover measured by benches/ablation_metadata.rs on the
-        // Paragon model: gathering beats the extra parallel operation up
-        // to ~8 K elements (64 KB of size info); stay a bit below it.
+        // Crossover measured by `tables ablate` on the Paragon model,
+        // which checks it: gathering beats the extra parallel operation
+        // at 4 K elements and loses at 16 K (64 KB of size info at 8 K).
         MetaPolicy::Auto {
             small_threshold: 8192,
         }

@@ -55,6 +55,12 @@ impl FileObj {
     }
 }
 
+/// The bytes of an independent operation: written out, or read in.
+pub(crate) enum Bytes<'a> {
+    Out(&'a [u8]),
+    In(&'a mut [u8]),
+}
+
 /// A per-rank handle to an open PFS file.
 ///
 /// Not `Send`: a handle belongs to the rank that opened it (its position is
@@ -163,15 +169,22 @@ impl FileHandle {
         });
     }
 
-    /// Charge one virtual-time backoff pause and record the retry.
-    /// Returns `false` when the policy's retry budget is exhausted.
-    fn backoff_and_retry(&self, ctx: &NodeCtx, op: u64, attempt: &mut u32) -> bool {
+    /// Take one retry of `op` under the policy: `pay` the backoff pause,
+    /// then record the retry. Returns `false` when the policy's retry
+    /// budget is exhausted.
+    fn backoff_and_retry(
+        &self,
+        ctx: &NodeCtx,
+        op: u64,
+        attempt: &mut u32,
+        pay: impl FnOnce(VTime),
+    ) -> bool {
         let policy = self.pfs.retry;
         if *attempt >= policy.max_retries {
             return false;
         }
         let pause = policy.backoff(*attempt);
-        ctx.advance(pause);
+        pay(pause);
         *attempt += 1;
         let next = *attempt;
         ctx.emit_with(|| EventKind::PfsRetry {
@@ -240,7 +253,7 @@ impl FileHandle {
             match ctx.fault_decision(op, attempt, write_len) {
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
+                    if self.backoff_and_retry(ctx, op, &mut attempt, |p| ctx.advance(p)) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
@@ -270,73 +283,8 @@ impl FileHandle {
     /// real-disk backend) are retried with exponential virtual-time
     /// backoff under the PFS [`crate::RetryPolicy`].
     pub fn write_at(&self, ctx: &NodeCtx, offset: u64, data: &[u8]) -> Result<(), PfsError> {
-        let op = ctx.next_pfs_op();
-        let mut attempt = 0u32;
-        loop {
-            self.check_alive(ctx)?;
-            match ctx.fault_decision(op, attempt, Some(data.len())) {
-                FaultDecision::Proceed => {
-                    let res = self
-                        .file
-                        .storage
-                        .lock()
-                        .write_at(offset, data, &self.file.name);
-                    match res {
-                        Ok(()) => {
-                            self.account_independent(
-                                ctx,
-                                PfsOp::Write,
-                                offset,
-                                data.len(),
-                                Service::Now,
-                                VTime::ZERO,
-                            );
-                            return Ok(());
-                        }
-                        Err(e)
-                            if self.pfs.retry.is_transient(&e)
-                                && self.backoff_and_retry(ctx, op, &mut attempt) =>
-                        {
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                FaultDecision::Transient => {
-                    self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
-                        continue;
-                    }
-                    return Err(Self::injected_transient(op));
-                }
-                FaultDecision::Torn { keep } => {
-                    // The call reports success but only a prefix hit
-                    // storage — a write-back cache lost at power time.
-                    // Full cost is charged: the node believed it wrote.
-                    let keep = keep.min(data.len());
-                    self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                    self.file
-                        .storage
-                        .lock()
-                        .write_at(offset, &data[..keep], &self.file.name)?;
-                    self.account_independent(
-                        ctx,
-                        PfsOp::Write,
-                        offset,
-                        data.len(),
-                        Service::Now,
-                        VTime::ZERO,
-                    );
-                    return Ok(());
-                }
-                FaultDecision::Crash { keep } => {
-                    // Peers observe `PeerGone` when this rank's thread
-                    // unwinds.
-                    self.persist_crash_prefix(ctx, op, offset, data, keep);
-                    return Err(Self::die(ctx));
-                }
-            }
-        }
+        self.independent_io(ctx, offset, Bytes::Out(data), Service::Now)
+            .map(|_| ())
     }
 
     /// Independent positioned read (does not move the private position).
@@ -344,51 +292,79 @@ impl FileHandle {
     /// Like [`FileHandle::write_at`], one logical retry-wrapped PFS
     /// operation.
     pub fn read_at(&self, ctx: &NodeCtx, offset: u64, buf: &mut [u8]) -> Result<(), PfsError> {
+        self.independent_io(ctx, offset, Bytes::In(buf), Service::Now)
+            .map(|_| ())
+    }
+
+    /// The one body of [`FileHandle::write_at`], [`FileHandle::read_at`]
+    /// and [`FileHandle::write_at_begin`]. Per `service`, each retry
+    /// backoff and then the service cost advance the clock, or both are
+    /// deferred onto the rank's async queue as one cost. A torn write
+    /// (reads are never torn) reports success with only a prefix stored
+    /// and the full cost charged; a power cut persists a write's seeded
+    /// prefix and settles like a collective write.
+    pub(crate) fn independent_io(
+        &self,
+        ctx: &NodeCtx,
+        offset: u64,
+        mut bytes: Bytes<'_>,
+        service: Service,
+    ) -> Result<Option<IoHandle>, PfsError> {
+        let (op_kind, len, written) = match &bytes {
+            Bytes::Out(data) => (PfsOp::Write, data.len(), *data),
+            Bytes::In(buf) => (PfsOp::Read, buf.len(), &[][..]),
+        };
+        let write_len = (op_kind == PfsOp::Write).then_some(len);
         let op = ctx.next_pfs_op();
         let mut attempt = 0u32;
+        let mut backoff = VTime::ZERO;
         loop {
             self.check_alive(ctx)?;
-            match ctx.fault_decision(op, attempt, None) {
+            let keep = match ctx.fault_decision(op, attempt, write_len) {
+                FaultDecision::Proceed => len,
                 FaultDecision::Transient => {
                     self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    if self.backoff_and_retry(ctx, op, &mut attempt) {
+                    if self.backoff_and_retry(ctx, op, &mut attempt, |p| {
+                        service.pause(ctx, p, &mut backoff)
+                    }) {
                         continue;
                     }
                     return Err(Self::injected_transient(op));
                 }
-                FaultDecision::Crash { .. } => {
-                    self.emit_fault(ctx, FaultKind::Crash, op, 0);
-                    return Err(Self::die(ctx));
+                FaultDecision::Torn { keep } => {
+                    let keep = keep.min(len);
+                    self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
+                    keep
                 }
-                // Torn applies to writes only; a read proceeds.
-                FaultDecision::Proceed | FaultDecision::Torn { .. } => {
-                    let res = self
-                        .file
-                        .storage
-                        .lock()
-                        .read_at(offset, buf, &self.file.name);
-                    match res {
-                        Ok(()) => {
-                            self.account_independent(
-                                ctx,
-                                PfsOp::Read,
-                                offset,
-                                buf.len(),
-                                Service::Now,
-                                VTime::ZERO,
-                            );
-                            return Ok(());
-                        }
-                        Err(e)
-                            if self.pfs.retry.is_transient(&e)
-                                && self.backoff_and_retry(ctx, op, &mut attempt) =>
-                        {
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
+                FaultDecision::Crash { keep } => {
+                    // A dead disk serves nothing: only the backoff spent
+                    // before the cut is charged.
+                    self.persist_crash_prefix(ctx, op, offset, written, keep);
+                    let charged = service.charge(ctx, backoff);
+                    return service.settle(ctx, charged, true, true);
                 }
+            };
+            let res = {
+                let mut storage = self.file.storage.lock();
+                match &mut bytes {
+                    Bytes::Out(data) => storage.write_at(offset, &data[..keep], &self.file.name),
+                    Bytes::In(buf) => storage.read_at(offset, buf, &self.file.name),
+                }
+            };
+            match res {
+                Ok(()) => {}
+                Err(e)
+                    if self.pfs.retry.is_transient(&e)
+                        && self.backoff_and_retry(ctx, op, &mut attempt, |p| {
+                            service.pause(ctx, p, &mut backoff)
+                        }) =>
+                {
+                    continue;
+                }
+                Err(e) => return Err(e),
             }
+            let charged = self.account_independent(ctx, op_kind, offset, len, service, backoff);
+            return service.settle(ctx, charged, false, false);
         }
     }
 

@@ -15,7 +15,7 @@
 //! * a calibrated **disk cost model** ([`DiskModel`]) with the buffer-cache
 //!   knees responsible for the paper's headline anomalies;
 //! * two backends: in-memory (virtual-time benchmarks) and real-disk
-//!   (wall-clock Criterion benchmarks).
+//!   (host-timed benchmarks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,12 +36,11 @@
 //!   *read* kills a blocking call on entry, while a begin stays in the
 //!   collective and defers the death to its handle.
 
-use dstreams_machine::{AsyncOp, FaultDecision, NodeCtx, VTime};
-use dstreams_trace::{EventKind, FaultKind, PfsOp};
+use dstreams_machine::{AsyncOp, NodeCtx, VTime};
 
 use crate::checksum::ChunkSum;
 use crate::error::PfsError;
-use crate::file::FileHandle;
+use crate::file::{Bytes, FileHandle};
 
 /// How an I/O body pays the service cost of its physical transfer — the
 /// one parameter that separates a blocking call from its
@@ -65,6 +64,15 @@ impl Service {
                 None
             }
             Service::Deferred => Some(ctx.async_submit(cost)),
+        }
+    }
+
+    /// Pay a retry backoff `pause`: advance the clock now, or add it to
+    /// `folded`, which is deferred with the operation's service cost.
+    pub(crate) fn pause(self, ctx: &NodeCtx, pause: VTime, folded: &mut VTime) {
+        match self {
+            Service::Now => ctx.advance(pause),
+            Service::Deferred => *folded += pause,
         }
     }
 
@@ -150,74 +158,17 @@ impl IoHandle {
 impl FileHandle {
     /// Nonblocking independent positioned write: the bytes land at
     /// submission, the service cost is deferred onto this rank's async
-    /// queue. Injected transient failures are retried with the backoff
-    /// folded into the deferred cost; a power-cut persists the seeded
-    /// prefix, marks the rank dead and defers `RankCrashed` to the
-    /// returned handle.
+    /// queue. Transient failures are retried with the backoff folded into
+    /// the deferred cost; a power-cut persists the seeded prefix, marks
+    /// the rank dead and defers `RankCrashed` to the returned handle.
     pub fn write_at_begin(
         &self,
         ctx: &NodeCtx,
         offset: u64,
         data: &[u8],
     ) -> Result<IoHandle, PfsError> {
-        let op = ctx.next_pfs_op();
-        let mut attempt = 0u32;
-        let mut folded_backoff = VTime::ZERO;
-        loop {
-            self.check_alive(ctx)?;
-            let keep = match ctx.fault_decision(op, attempt, Some(data.len())) {
-                FaultDecision::Proceed => data.len(),
-                FaultDecision::Transient => {
-                    self.emit_fault(ctx, FaultKind::Transient, op, 0);
-                    let policy = self.pfs.retry;
-                    if attempt >= policy.max_retries {
-                        return Err(Self::injected_transient(op));
-                    }
-                    let pause = policy.backoff(attempt);
-                    folded_backoff += pause;
-                    attempt += 1;
-                    let next = attempt;
-                    ctx.emit_with(|| EventKind::PfsRetry {
-                        op_index: op,
-                        attempt: next,
-                        backoff_ns: pause.as_nanos(),
-                    });
-                    continue;
-                }
-                FaultDecision::Torn { keep } => {
-                    let keep = keep.min(data.len());
-                    self.emit_fault(ctx, FaultKind::Torn, op, keep as u64);
-                    keep
-                }
-                FaultDecision::Crash { keep } => {
-                    self.persist_crash_prefix(ctx, op, offset, data, keep);
-                    // A dead disk serves nothing: zero deferred cost, the
-                    // crash outcome rides the handle.
-                    return Ok(IoHandle {
-                        op: ctx.async_submit(VTime::ZERO),
-                        deferred: Some(Self::die(ctx)),
-                        peer_crashed: true,
-                    });
-                }
-            };
-            self.file
-                .storage
-                .lock()
-                .write_at(offset, &data[..keep], self.file.name())?;
-            let charged = self.account_independent(
-                ctx,
-                PfsOp::Write,
-                offset,
-                data.len(),
-                Service::Deferred,
-                folded_backoff,
-            );
-            return Ok(IoHandle {
-                op: charged.expect("deferred service submits"),
-                deferred: None,
-                peer_crashed: false,
-            });
-        }
+        let handle = self.independent_io(ctx, offset, Bytes::Out(data), Service::Deferred)?;
+        Ok(handle.expect("deferred service returns a handle"))
     }
 
     /// Nonblocking [`FileHandle::write_ordered_summed`]: collective
@@ -267,6 +218,7 @@ mod tests {
     use dstreams_machine::{
         CollectiveConfig, FaultPlan, Machine, MachineConfig, MachineError, VTime,
     };
+    use dstreams_trace::{EventKind, TraceSink};
 
     /// Blocking and begin variants share one body per operation: the
     /// same file bytes, offsets, digests and read-backs, on the direct
@@ -342,6 +294,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `write_at` and `write_at_begin` + `wait` share one body: under a
+    /// seeded plan that lets one write proceed, retries a transient
+    /// fault on another, tears a third and power-cuts a fourth, both
+    /// leave the same file bytes, the same fault and retry events and
+    /// the same clock after every call.
+    #[test]
+    fn write_at_begin_and_wait_match_write_at_under_faults() {
+        let run = |deferred: bool| {
+            let pfs = Pfs::new(1, DiskModel::paragon_pfs(), crate::Backend::Memory);
+            let sink = TraceSink::new(1);
+            let plan = FaultPlan::seeded(11)
+                .transient_at(0, 1)
+                .torn_at(0, 2)
+                .crash_at(0, 3);
+            let cfg = MachineConfig::functional(1)
+                .traced(sink.clone())
+                .with_faults(plan);
+            let p = pfs.clone();
+            let calls = Machine::run(cfg, move |ctx| {
+                let fh = p.open(true, "f", OpenMode::Create).unwrap();
+                (0..4u8)
+                    .map(|k| {
+                        let data = vec![k + 1; 300];
+                        let offset = u64::from(k) * 300;
+                        let outcome = if deferred {
+                            fh.write_at_begin(ctx, offset, &data)
+                                .and_then(|h| h.wait(ctx))
+                        } else {
+                            fh.write_at(ctx, offset, &data)
+                        };
+                        (format!("{outcome:?}"), ctx.now())
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .remove(0);
+            let faults: Vec<EventKind> = sink
+                .take()
+                .events
+                .into_iter()
+                .map(|e| e.kind)
+                .filter(|k| {
+                    matches!(
+                        k,
+                        EventKind::FaultInjected { .. } | EventKind::PfsRetry { .. }
+                    )
+                })
+                .collect();
+            let size = pfs.file_size("f").unwrap() as usize;
+            let bytes = Machine::run(MachineConfig::functional(1), move |ctx| {
+                let fh = pfs.open(false, "f", OpenMode::Read).unwrap();
+                let mut buf = vec![0u8; size];
+                fh.read_at(ctx, 0, &mut buf).unwrap();
+                buf
+            })
+            .unwrap()
+            .remove(0);
+            (calls, faults, bytes)
+        };
+        let blocking = run(false);
+        let kinds: Vec<_> = blocking
+            .1
+            .iter()
+            .map(|k| match k {
+                EventKind::FaultInjected { kind, .. } => format!("{kind:?}"),
+                _ => "Retry".to_string(),
+            })
+            .collect();
+        assert_eq!(kinds, ["Transient", "Retry", "Torn", "Crash"]);
+        assert!(blocking.0[3].0.contains("RankCrashed"), "{:?}", blocking.0);
+        assert_eq!(run(true), blocking);
     }
 
     /// A power cut on a blocking direct write does not strand the

@@ -1,5 +1,6 @@
 //! Storage backends: in-memory (default, used with virtual-time
-//! measurement) and real-disk (used by the wall-clock Criterion benches).
+//! measurement) and real-disk (used by the host-timed real-disk rows of
+//! `tables ablate`).
 
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};

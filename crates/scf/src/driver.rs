@@ -9,7 +9,7 @@
 
 use dstreams_collections::{Collection, DistKind, Layout};
 use dstreams_core::MetaMode;
-use dstreams_machine::{Machine, MachineConfig, VTime};
+use dstreams_machine::{Machine, MachineConfig, NodeCtx, VTime};
 use dstreams_pfs::{Backend, DiskModel, Pfs};
 use dstreams_trace::json::Value;
 use dstreams_trace::{OpCounts, Trace, TraceSink};
@@ -90,6 +90,35 @@ pub fn run_cell_traced(spec: CellSpec) -> Result<(f64, Trace), ScfError> {
     Ok((secs, sink.take()))
 }
 
+/// The measured operation of one cell: write `grid` to a file with
+/// `method`, then read it back into `back`.
+pub fn out_and_in(
+    ctx: &NodeCtx,
+    pfs: &Pfs,
+    method: IoMethod,
+    grid: &Collection<Segment>,
+    back: &mut Collection<Segment>,
+    cfg: &ScfConfig,
+) -> Result<(), ScfError> {
+    match method {
+        IoMethod::Unbuffered => {
+            output_unbuffered(ctx, pfs, grid, "bench")?;
+            input_unbuffered(ctx, pfs, back, "bench")?;
+        }
+        IoMethod::ManualBuffered => {
+            output_manual(ctx, pfs, grid, "bench")?;
+            input_manual(ctx, pfs, back, "bench", cfg.particles_per_segment)?;
+        }
+        IoMethod::DStreams => {
+            // The measured 1995 implementation wrote metadata as a
+            // separate parallel operation at every size.
+            output_dstreams(ctx, pfs, grid, "bench", MetaMode::Parallel)?;
+            input_dstreams_unsorted(ctx, pfs, back, "bench")?;
+        }
+    }
+    Ok(())
+}
+
 fn run_cell_inner(spec: CellSpec, trace: Option<TraceSink>) -> Result<f64, ScfError> {
     let pfs = Pfs::new(spec.nprocs, spec.platform.disk(), Backend::Memory);
     let mut config = spec.platform.machine(spec.nprocs);
@@ -104,22 +133,7 @@ fn run_cell_inner(spec: CellSpec, trace: Option<TraceSink>) -> Result<f64, ScfEr
         // Timed region: output followed by input.
         ctx.barrier()?;
         let t0 = ctx.now();
-        match spec.method {
-            IoMethod::Unbuffered => {
-                output_unbuffered(ctx, &pfs, &grid, "bench")?;
-                input_unbuffered(ctx, &pfs, &mut back, "bench")?;
-            }
-            IoMethod::ManualBuffered => {
-                output_manual(ctx, &pfs, &grid, "bench")?;
-                input_manual(ctx, &pfs, &mut back, "bench", cfg.particles_per_segment)?;
-            }
-            IoMethod::DStreams => {
-                // The measured 1995 implementation wrote metadata as a
-                // separate parallel operation at every size.
-                output_dstreams(ctx, &pfs, &grid, "bench", MetaMode::Parallel)?;
-                input_dstreams_unsorted(ctx, &pfs, &mut back, "bench")?;
-            }
-        }
+        out_and_in(ctx, &pfs, spec.method, &grid, &mut back, &cfg)?;
         ctx.barrier()?;
         let elapsed = ctx.now() - t0;
 

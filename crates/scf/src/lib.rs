@@ -28,8 +28,8 @@ pub mod tables;
 pub mod workload;
 
 pub use driver::{
-    profile_dstreams_phases, run_cell, run_cell_traced, run_sizes, run_sizes_traced, CellSpec,
-    PhaseBreakdown, Platform, SizeResult,
+    out_and_in, profile_dstreams_phases, run_cell, run_cell_traced, run_sizes, run_sizes_traced,
+    CellSpec, PhaseBreakdown, Platform, SizeResult,
 };
 pub use methods::IoMethod;
 pub use overlap::{calibrate_compute, run_checkpoint, run_checkpoint_traced, OverlapSpec};
