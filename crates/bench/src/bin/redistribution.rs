@@ -17,7 +17,14 @@
 //! * the headline 64-writer -> 8-reader shape's redistribution step (the
 //!   `Route` phase — the only part the two strategies do differently;
 //!   header, size-table, and data I/O are byte-identical) beats the naive
-//!   path by at least 1.5x in modeled time.
+//!   path by at least 1.5x in modeled time, and
+//! * planning a BLOCK -> CYCLIC read of 2N elements takes at most
+//!   [`QUADRATIC_CEILING`] times the host time of N elements (the one
+//!   host-timed row). A linear planner doubles (~2x); a quadratic one
+//!   quadruples (~4x). The ceiling sits between, with slack for timer
+//!   noise.
+
+use std::time::Instant;
 
 use dstreams_bench::Cli;
 use dstreams_collections::{Collection, DistKind, Layout};
@@ -35,6 +42,15 @@ const SPEEDUP_FLOOR: f64 = 1.5;
 /// (the naive path's per-element framing) dominates, the regime the
 /// planner is for.
 const ELEMENT_BYTES: usize = 8;
+
+/// Reader ranks of the host-timed planner row.
+const PLANNER_READERS: usize = 8;
+
+/// Ceiling on the planner's host-time ratio between 2N and N elements.
+const QUADRATIC_CEILING: f64 = 3.0;
+
+/// Planner timing repetitions; the best (least-interfered) run is kept.
+const REPS: usize = 7;
 
 struct Config {
     writers: usize,
@@ -55,9 +71,9 @@ struct Run {
     shuttle_elements: u64,
 }
 
-/// Analytic minimum for the shape: rebuild exactly the plan the readers
-/// will compute (file order is writer-rank-major) and take its bound.
-fn analytic_lower_bound(cfg: &Config) -> u64 {
+/// Target owner of every file-order element (file order is
+/// writer-rank-major) of the shape.
+fn file_order_owners(cfg: &Config) -> Vec<usize> {
     let wlayout = Layout::dense(cfg.elements, cfg.writers, cfg.writer_kind).unwrap();
     let rlayout = Layout::dense(cfg.elements, cfg.readers, cfg.reader_kind).unwrap();
     let mut dst_owner = Vec::with_capacity(cfg.elements);
@@ -66,8 +82,47 @@ fn analytic_lower_bound(cfg: &Config) -> u64 {
             dst_owner.push(rlayout.owner(gid).unwrap());
         }
     }
+    dst_owner
+}
+
+/// Analytic minimum for the shape: rebuild exactly the plan the readers
+/// will compute and take its bound.
+fn analytic_lower_bound(cfg: &Config) -> u64 {
     let sizes = vec![ELEMENT_BYTES as u64; cfg.elements];
-    RedistPlan::new(cfg.readers, &sizes, &dst_owner).lower_bound()
+    RedistPlan::new(cfg.readers, &sizes, &file_order_owners(cfg)).lower_bound()
+}
+
+/// Best-of-[`REPS`] host seconds to plan a BLOCK -> CYCLIC read on
+/// [`PLANNER_READERS`] ranks, where every element is its own ownership
+/// run, for `n` and for `2n` elements. The two sizes are timed
+/// alternately so both see the same machine load.
+fn time_plans(n: usize) -> (f64, f64) {
+    let inputs: Vec<(Vec<u64>, Vec<usize>)> = [n, 2 * n]
+        .into_iter()
+        .map(|elements| {
+            let dst_owner = file_order_owners(&Config {
+                writers: PLANNER_READERS,
+                writer_kind: DistKind::Block,
+                readers: PLANNER_READERS,
+                reader_kind: DistKind::Cyclic,
+                elements,
+                headline: false,
+            });
+            (vec![ELEMENT_BYTES as u64; elements], dst_owner)
+        })
+        .collect();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPS {
+        for ((sizes, dst_owner), best) in inputs.iter().zip(&mut best) {
+            let start = Instant::now();
+            let plan = RedistPlan::new(PLANNER_READERS, sizes, dst_owner);
+            let dt = start.elapsed().as_secs_f64();
+            // Keep the plan observable so the work cannot be elided.
+            assert!(plan.lower_bound() > 0);
+            *best = best.min(dt);
+        }
+    }
+    (best[0], best[1])
 }
 
 fn write_checkpoint(pfs: &Pfs, cfg: &Config) {
@@ -310,6 +365,23 @@ fn main() {
         rows.push(row);
     }
 
+    let plan_n = if cli.smoke { 1 << 16 } else { 1 << 19 };
+    let (t_n, t_2n) = time_plans(plan_n);
+    let plan_ratio = t_2n / t_n.max(1e-9);
+    println!(
+        "\nPlanner host time, {PLANNER_READERS} readers, Block -> Cyclic: \
+         {plan_n} elements {:.1} ms, {} elements {:.1} ms -> 2N/N x{plan_ratio:.2}",
+        t_n * 1e3,
+        2 * plan_n,
+        t_2n * 1e3,
+    );
+    if plan_ratio > QUADRATIC_CEILING {
+        violations.push(format!(
+            "planner 2N/N host time x{plan_ratio:.2} exceeds the x{QUADRATIC_CEILING} \
+             anti-quadratic ceiling — the planner is superlinear"
+        ));
+    }
+
     cli.finish(
         "redistribution",
         vec![
@@ -318,11 +390,25 @@ fn main() {
                 "results".into(),
                 Value::Arr(rows.iter().map(Row::to_json).collect()),
             ),
+            (
+                "planner_host".into(),
+                Value::Obj(vec![
+                    ("readers".into(), Value::Int(PLANNER_READERS as i64)),
+                    ("writer_dist".into(), Value::Str("Block".into())),
+                    ("reader_dist".into(), Value::Str("Cyclic".into())),
+                    ("elements".into(), Value::Int(plan_n as i64)),
+                    ("plan_n_s".into(), Value::Num(t_n)),
+                    ("plan_2n_s".into(), Value::Num(t_2n)),
+                    ("ratio_2n_n".into(), Value::Num(plan_ratio)),
+                    ("quadratic_ceiling".into(), Value::Num(QUADRATIC_CEILING)),
+                ]),
+            ),
         ],
         &violations,
         &format!(
             "redistribution claim holds: every shape moves exactly the analytic minimum; \
-             headline redistribution step >= {SPEEDUP_FLOOR}x over the naive framed all-to-all"
+             headline redistribution step >= {SPEEDUP_FLOOR}x over the naive framed all-to-all; \
+             planner host time scales sub-quadratically"
         ),
     );
 }

@@ -6,10 +6,10 @@
 //! regenerates the paper's Tables 1–4 and, with `tables ablate`, the
 //! ablations of its design choices ([`ablate`]); the other bins write
 //! one `BENCH_*.json` each. The host-timed exceptions are
-//! `verify_throughput` (dsverify events per second) and the real-disk
-//! rows of `tables ablate`. The host time of the library's own I/O path
-//! is measured by the separate `perfbench` crate
-//! (`python3 perfbench/run.py`).
+//! `verify_throughput` (dsverify events per second), the planner row of
+//! `redistribution` and the real-disk rows of `tables ablate`. The host
+//! time of the library's own I/O path is measured by the separate
+//! `perfbench` crate (`python3 perfbench/run.py`).
 
 #![forbid(unsafe_code)]
 

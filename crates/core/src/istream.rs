@@ -70,6 +70,7 @@ struct InRecord {
 struct Fetched {
     header: RecordHeader,
     seal: Option<RecordSeal>,
+    /// The size table: element sizes in file order.
     sizes: Vec<u64>,
     file_map: Vec<FileEntry>,
     data_base: u64,
@@ -326,7 +327,7 @@ impl<'a> IStream<'a> {
         // spans (so that cross-rank traffic is minimal); otherwise the
         // balanced split of the naive/unsorted paths applies.
         let plan = if sorted && self.strategy == ReadStrategy::Planned {
-            Some(self.build_plan(&header, &file_map)?)
+            Some(self.build_plan(&header, &sizes, &file_map)?)
         } else {
             None
         };
@@ -432,7 +433,7 @@ impl<'a> IStream<'a> {
         }
         let rec = match (&p.plan, p.sorted) {
             (Some((plan, places)), _) => {
-                self.route_planned(&p.header, &p.file_map, plan, places, &p.raw)?
+                self.route_planned(&p.header, &p.sizes, plan, places, &p.raw)?
             }
             (None, true) => self.route_sorted(&p.header, &p.file_map, p.lo, p.hi, &p.raw)?,
             (None, false) => self.deal_unsorted(&p.header, &p.file_map, p.lo, p.hi, &p.raw)?,
@@ -633,22 +634,22 @@ impl<'a> IStream<'a> {
     }
 
     /// Compute the redistribution schedule for the record described by
-    /// `header`/`file_map`: writer layout from the self-describing
+    /// `header`/`sizes`/`file_map`: writer layout from the self-describing
     /// header, target layout from the stream. Deterministic from data
     /// every rank already holds, so the plan never travels.
     fn build_plan(
         &self,
         header: &RecordHeader,
+        sizes: &[u64],
         file_map: &[FileEntry],
     ) -> Result<(RedistPlan, Vec<(usize, usize)>), StreamError> {
         let writer_layout = Layout::from_descriptor(&header.layout)?;
-        let sizes: Vec<u64> = file_map.iter().map(|e| e.size).collect();
         let gids: Vec<usize> = file_map.iter().map(|e| e.global_id).collect();
         let (plan, places) = dstreams_redist::plan_for_layouts(
             self.ctx.nprocs(),
             &writer_layout,
             &self.layout,
-            &sizes,
+            sizes,
             &gids,
         )?;
         Ok((plan, places))
@@ -660,7 +661,7 @@ impl<'a> IStream<'a> {
     fn route_planned(
         &mut self,
         header: &RecordHeader,
-        file_map: &[FileEntry],
+        sizes: &[u64],
         plan: &RedistPlan,
         places: &[(usize, usize)],
         raw: &[u8],
@@ -673,7 +674,7 @@ impl<'a> IStream<'a> {
         let mut slot_sizes = vec![0usize; local_ids.len()];
         for (e, &(r, slot)) in places.iter().enumerate() {
             if r == rank {
-                slot_sizes[slot] = file_map[e].size as usize;
+                slot_sizes[slot] = sizes[e] as usize;
             }
         }
         let mut segs = Vec::with_capacity(slot_sizes.len());
@@ -684,9 +685,8 @@ impl<'a> IStream<'a> {
         }
         let mut data = vec![0u8; off];
 
-        let sizes: Vec<u64> = file_map.iter().map(|e| e.size).collect();
         let file = self.fh.file().name().to_string();
-        dstreams_redist::execute(self.ctx, plan, &sizes, raw, &file, |e, bytes| {
+        dstreams_redist::execute(self.ctx, plan, sizes, raw, &file, |e, bytes| {
             let (owner, slot) = places[e];
             debug_assert_eq!(owner, rank);
             let (o, l) = segs[slot];

@@ -12,8 +12,20 @@
 //! optimal boundary can always be slid to an adjacent run boundary
 //! without increasing the moved-byte count, restricting candidates to
 //! run boundaries loses nothing: the resulting schedule is minimal over
-//! all conforming (contiguous-span) reads. Two corollaries the test
-//! suite asserts directly:
+//! all conforming (contiguous-span) reads.
+//!
+//! The DP runs in O(nprocs × runs) time because its cost separates.
+//! With `a[c]` the bytes of runs `0..c` that rank `p` does not own, a
+//! span `[ci, cj)` moves `a[cj] − a[ci]` bytes, so the best start on
+//! moved bytes is a running prefix minimum of `dp.0[ci] − a[ci]`. Among
+//! the starts tied at that minimum the imbalance `|x − cand[ci]|`, with
+//! `x = cand[cj] − target(p)` nondecreasing in `cj`, splits at `x` into
+//! two fronts: a running minimum of `dp.1 − cand` to the left and a
+//! monotone-deque sliding minimum of `dp.1 + cand` to the right. Each
+//! start enters and leaves each front once per rank, and ties resolve
+//! to the earliest start, as an exhaustive scan of all starts would.
+//!
+//! Two corollaries the test suite asserts directly:
 //!
 //! * **idempotence** — when the destination layout equals the layout
 //!   the file was written with, the ownership runs are exactly the
@@ -23,6 +35,8 @@
 //!   `Σ size(e)` over elements read by `src` and owned by `dst`; no
 //!   framing, duplication or padding is ever scheduled, so the executor
 //!   can be audited against [`RedistPlan::lower_bound`] byte for byte.
+
+use std::collections::VecDeque;
 
 /// One coalesced run of contiguous file-order elements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,19 +117,17 @@ impl RedistPlan {
         }
         let r = cand.len() - 1; // number of runs
 
-        // Prefix sums at candidate boundaries: total bytes, and bytes
-        // owned by each rank (within a run the owner is constant, so
-        // run-boundary prefixes capture everything the cost needs).
-        let mut total_pref = vec![0u64; r + 1];
-        let mut owned_pref = vec![vec![0u64; r + 1]; nprocs];
-        for i in 0..r {
-            let run_bytes: u64 = sizes[cand[i]..cand[i + 1]].iter().sum();
-            total_pref[i + 1] = total_pref[i] + run_bytes;
-            let owner = if cand[i] < n { dst_owner[cand[i]] } else { 0 };
-            for (p, pref) in owned_pref.iter_mut().enumerate() {
-                pref[i + 1] = pref[i] + if p == owner { run_bytes } else { 0 };
-            }
-        }
+        // Bytes and destination owner of each run (the owner is constant
+        // within a run, so per-run totals capture everything the cost
+        // needs).
+        let run_bytes: Vec<u64> = cand
+            .windows(2)
+            .map(|w| sizes[w[0]..w[1]].iter().sum())
+            .collect();
+        let run_owner: Vec<usize> = cand[..r]
+            .iter()
+            .map(|&c| if c < n { dst_owner[c] } else { 0 })
+            .collect();
 
         // DP over (rank, candidate boundary): D[c] = cheapest way to
         // cover the first `cand[c]` elements with the spans of ranks
@@ -123,34 +135,72 @@ impl RedistPlan {
         // imbalance is the span's element-count deviation from the
         // balanced split — so among equally-cheap schedules the balanced
         // one wins, and a same-layout read degenerates to zero moves.
+        // Ties go to the earliest span start.
         const INF: (u64, u64) = (u64::MAX, u64::MAX);
         let target = |p: usize| -> usize { ((p + 1) * n) / nprocs - (p * n) / nprocs };
-        let add = |a: (u64, u64), b: (u64, u64)| -> (u64, u64) {
-            (a.0.saturating_add(b.0), a.1.saturating_add(b.1))
-        };
         let mut dp = vec![INF; r + 1];
         dp[0] = (0, 0);
+        // Every round writes all of `next`: dp[0] is always finite.
+        let mut next = vec![INF; r + 1];
         // choice[p][c] = boundary index where rank p's span starts.
         let mut choice = vec![vec![0usize; r + 1]; nprocs];
-        for p in 0..nprocs {
-            let mut next = vec![INF; r + 1];
+        for (p, start) in choice.iter_mut().enumerate() {
+            // moved(ci, cj) = a[cj] - a[ci], with a[c] the bytes of runs
+            // 0..c that rank p does not own; `a` is a[cj] as cj sweeps.
+            let mut a = 0u64;
+            // Minimum of dp.0[ci] - a[ci] over the starts seen so far.
+            let mut best = i128::MAX;
+            // Imbalance fronts over the starts tied at `best`, as
+            // (value, start): `left` holds the least `dp.1 - cand` among
+            // starts at or below `x`, `right` a monotone deque of
+            // `dp.1 + cand` over the starts above it.
+            let mut left: Option<(i64, usize)> = None;
+            let mut right: VecDeque<(i64, usize)> = VecDeque::new();
+            let t = target(p) as i64;
             for cj in 0..=r {
-                for ci in 0..=cj {
-                    if dp[ci] == INF {
-                        continue;
+                if cj > 0 && run_owner[cj - 1] != p {
+                    a += run_bytes[cj - 1];
+                }
+                if dp[cj] != INF {
+                    let k = i128::from(dp[cj].0) - i128::from(a);
+                    if k < best {
+                        best = k;
+                        left = None;
+                        right.clear();
                     }
-                    let moved =
-                        (total_pref[cj] - total_pref[ci]) - (owned_pref[p][cj] - owned_pref[p][ci]);
-                    let span_len = cand[cj] - cand[ci];
-                    let imb = span_len.abs_diff(target(p)) as u64;
-                    let cost = add(dp[ci], (moved, imb));
-                    if cost < next[cj] {
-                        next[cj] = cost;
-                        choice[p][cj] = ci;
+                    if k == best {
+                        let v = dp[cj].1 as i64 + cand[cj] as i64;
+                        while right.back().is_some_and(|&(bv, _)| bv > v) {
+                            right.pop_back();
+                        }
+                        right.push_back((v, cj));
                     }
                 }
+                // Imbalance of span [ci, cj) is |x - cand[ci]|.
+                let x = cand[cj] as i64 - t;
+                while let Some(&(v, ci)) = right.front() {
+                    if cand[ci] as i64 > x {
+                        break;
+                    }
+                    right.pop_front();
+                    let lv = v - 2 * cand[ci] as i64;
+                    if left.is_none_or(|(bv, _)| lv < bv) {
+                        left = Some((lv, ci));
+                    }
+                }
+                let from_left = left.map(|(v, ci)| (v + x, ci));
+                let from_right = right.front().map(|&(v, ci)| (v - x, ci));
+                // On a tie the left front wins: its starts come first.
+                let (imb, ci) = match (from_left, from_right) {
+                    (Some(l), Some(rt)) if rt.0 < l.0 => rt,
+                    (Some(l), _) => l,
+                    (None, Some(rt)) => rt,
+                    (None, None) => unreachable!("a tied start is always on a front"),
+                };
+                next[cj] = ((best + i128::from(a)) as u64, imb as u64);
+                start[cj] = ci;
             }
-            dp = next;
+            std::mem::swap(&mut dp, &mut next);
         }
 
         // Reconstruct the span boundaries.
