@@ -7,7 +7,8 @@
 //! ablations of its design choices ([`ablate`]); the other bins write
 //! one `BENCH_*.json` each. The host-timed exceptions are
 //! `verify_throughput` (dsverify events per second), the planner row of
-//! `redistribution` and the real-disk rows of `tables ablate`. The host
+//! `redistribution`, the checksum row of `pipeline` and the real-disk
+//! rows of `tables ablate`. The host
 //! time of the library's own I/O path is measured by the separate
 //! `perfbench` crate (`python3 perfbench/run.py`).
 

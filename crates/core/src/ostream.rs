@@ -695,7 +695,13 @@ impl<'a> OStream<'a> {
         data: &[u8],
         defer: bool,
     ) -> Result<Option<PendingWrite>, StreamError> {
-        let prefix_len = file_prefix.len();
+        // The record's digest in file order: rank 0's collective block
+        // with the file prefix removed (the seal covers the record only),
+        // then the other ranks' blocks. Every byte is hashed once, by the
+        // collective that writes it.
+        let prefix_sum = ChunkSum::of(&file_prefix);
+        let record_digest =
+            |digests: &[ChunkSum]| fold(digests[0].after(prefix_sum), &digests[1..]);
         let root = self.ctx.is_root();
         let (meta, flush, digest, crashed) = match mode {
             MetaMode::Gathered => {
@@ -703,29 +709,24 @@ impl<'a> OStream<'a> {
                 // of its per-node buffer: a single parallel operation.
                 let meta_span = crate::phase::span(self.ctx, StreamPhase::Metadata);
                 let gathered = self.ctx.gather(0, encode_sizes(local_sizes))?;
-                let (block, meta_sum) = if let Some(tables) = gathered {
+                let assembled;
+                let block: &[u8] = if let Some(tables) = gathered {
                     let mut b = file_prefix;
                     b.extend_from_slice(&header.encode());
                     for t in &tables {
                         b.extend_from_slice(t);
                     }
-                    // Digest of the record's metadata span (header +
-                    // size tables, excluding any file prefix).
-                    let meta_sum = ChunkSum::of(&b[prefix_len..]);
                     b.extend_from_slice(data);
-                    (b, meta_sum)
+                    assembled = b;
+                    &assembled
                 } else {
-                    (data.to_vec(), ChunkSum::EMPTY)
+                    data
                 };
                 drop(meta_span);
                 let data_span = crate::phase::span(self.ctx, StreamPhase::Data);
-                let (digests, crashed, h) = self.put_ordered(&block, defer)?;
+                let (digests, crashed, h) = self.put_ordered(block, defer)?;
                 drop(data_span);
-                // Record digest in file order: metadata, then rank 0's
-                // data (hashed locally — its collective block includes
-                // the metadata), then the other ranks' blocks.
-                let digest = (root && !crashed)
-                    .then(|| fold(meta_sum.then(ChunkSum::of(data)), &digests[1..]));
+                let digest = (root && !crashed).then(|| record_digest(&digests));
                 (None, h, digest, crashed)
             }
             MetaMode::Parallel => {
@@ -744,10 +745,8 @@ impl<'a> OStream<'a> {
                 let (data_digests, data_crashed, dh) = self.put_ordered(data, defer)?;
                 drop(data_span);
                 let crashed = meta_crashed || data_crashed;
-                let digest = (root && !crashed).then(|| {
-                    let head = fold(ChunkSum::of(&meta[prefix_len..]), &meta_digests[1..]);
-                    fold(head, &data_digests)
-                });
+                let digest =
+                    (root && !crashed).then(|| fold(record_digest(&meta_digests), &data_digests));
                 (mh, dh, digest, crashed)
             }
         };
